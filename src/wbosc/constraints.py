@@ -147,6 +147,7 @@ class ConstraintSet:
         self.Ainv = None
         self.Phi = None
         self.UNcBarL = None
+        self.version = 0            # bumped by every update
         self._constrained_joints = set()
 
     def add(self, constraint):
@@ -191,6 +192,7 @@ class ConstraintSet:
         w, V = np.linalg.eigh(self.Phi)
         keep = w > w[-1] * nj * np.finfo(float).eps
         self.UNcBarL = self.UNcBar @ (V[:, keep] * np.sqrt(w[keep]))
+        self.version += 1
         return self
 
     def is_constrained(self, joint_name):

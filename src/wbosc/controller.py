@@ -235,7 +235,13 @@ class _LadderRecord:
 
 
 class Wbosc:
-    """Effort-only whole-body controller (the priority ladder above)."""
+    """Effort-only whole-body controller (the priority ladder above).
+
+    The effort of the last successful call without an internal-force
+    reference is kept with the versions of its inputs, and reused while
+    they stay the same: in multi-threaded servo mode most cycles bring
+    neither a new model nor a new task update.  A failed call stores
+    nothing, so a bad input raises on every call that sees it."""
 
     def __init__(self, n_dofs, n_joints, tolerance=DEFAULT_TOLERANCE,
                  gravity_mask=None):
@@ -248,6 +254,8 @@ class Wbosc:
         self._blocks = {}           # TaskStack -> _HeadBlocks
         self._record = None
         self._ladder = None
+        self._memo_key = None       # _inputs_key of _memo_tau, or None
+        self._memo_tau = None
 
     @property
     def last_ladder(self):
@@ -258,6 +266,35 @@ class Wbosc:
 
     def compute(self, model, constraint_set, compound, robot_state,
                 internal_force_ref=None):
+        """The command for the active task states.  The effort is reused
+        while its inputs keep their versions (see ``_inputs_key``); a call
+        with an internal-force reference always recomputes it."""
+        key = None if internal_force_ref is not None \
+            else self._inputs_key(model, constraint_set, compound)
+        if key is not None and key == self._memo_key:
+            tau = self._memo_tau.copy()
+        else:
+            # _record is replaced below, so the memo no longer matches it
+            self._memo_key = None
+            tau = self._effort(model, constraint_set, compound,
+                               internal_force_ref)
+            if key is not None:
+                self._memo_key, self._memo_tau = key, tau.copy()
+        return Command(np.array(robot_state.position, dtype=float),
+                       np.array(robot_state.velocity, dtype=float), tau,
+                       np.zeros(self.n_joints), np.zeros(self.n_joints))
+
+    @staticmethod
+    def _inputs_key(model, constraint_set, compound):
+        """Versions of everything the effort depends on: the model and
+        constraint set by identity and update count, and each task entry's
+        priority, enabled flag and active update sequence number."""
+        return (model, model.version, constraint_set, constraint_set.version,
+                compound, tuple((e.priority, e.task.enabled,
+                                 e.task.active_state.seq)
+                                for e in compound.entries))
+
+    def _effort(self, model, constraint_set, compound, internal_force_ref):
         stack = compound.stack()
         if stack is None:
             raise CommandError("compound task has no enabled tasks")
@@ -285,9 +322,7 @@ class Wbosc:
 
         if not np.isfinite(tau).all():
             raise CommandError("non-finite effort command")
-        return Command(np.array(robot_state.position, dtype=float),
-                       np.array(robot_state.velocity, dtype=float), tau,
-                       np.zeros(self.n_joints), np.zeros(self.n_joints))
+        return tau
 
     @staticmethod
     def _offending_tasks(stack):

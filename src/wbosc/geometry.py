@@ -89,12 +89,3 @@ def quat_from_matrix(R):
     q[1 + j] = (R[j, i] + R[i, j]) / s
     q[1 + k] = (R[k, i] + R[i, k]) / s
     return q
-
-
-def quat_to_matrix(q):
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])

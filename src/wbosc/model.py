@@ -111,6 +111,7 @@ class RobotModel:
         self.B = np.zeros(n)
         self.G = np.zeros(n)
         self.stamp = 0.0              # set by the runtime; staleness = now - stamp
+        self.version = 0              # bumped by every update_kinematics
         self._fresh = False
 
         # preallocated workspaces (sized once, reused every update)
@@ -300,6 +301,7 @@ class RobotModel:
         # gravity vector from accumulated static wrenches (one cheap pass)
         self._rnea(self.qd_full, None, False, self.B)
         self._gravity_pass(self.G)
+        self.version += 1
         return self
 
     def _forward_kinematics(self):

@@ -86,10 +86,6 @@ class Parameter:
         for binding in self.output_bindings:
             binding.offer(value)
 
-    def publish_current(self):
-        for binding in self.output_bindings:
-            binding.offer(self._value)
-
     def scalar_view(self):
         """Value as used by the expression evaluator."""
         return self._value

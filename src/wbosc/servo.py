@@ -20,11 +20,23 @@ reports per-task completion after it finishes each task, so a scan racing
 the end of a round can miss the tasks it already passed), then swaps the
 model pair when the inactive copy is fresh.  The task worker is handed the
 new active model and triggered only while idle; if it is busy the trigger is
-deferred to the first later cycle that finds it idle.  Staging is skipped
-while the task worker is still reading the copy that would be overwritten.
+deferred to the first later cycle that finds it idle.  A cycle whose
+parameter drain applied a staged input (a goal, gain or enable flag) also
+makes a task round due, so the input reaches the task states without
+waiting for the next swap.  Staging is skipped while the task worker is
+still reading the copy that would be overwritten.
+
+The controller reuses its last effort while the active model copy, the
+active task states and the enabled/priority configuration are unchanged
+(see ``Wbosc.compute``), so a cycle that swapped no model and consumed no
+task update does almost no numpy work and never releases the GIL.  Such a
+cycle ends with ``time.sleep(0)`` while a worker has a round running: it
+hands the GIL to that worker, which otherwise waits out a full switch
+interval and the model and task states go stale.
 
 Single-threaded mode replaces the staging/check steps with direct inline
-model and task updates every cycle.
+model and task updates every cycle, so the effort is recomputed every cycle
+and nothing yields.
 """
 
 import threading
@@ -492,8 +504,10 @@ class ServoRuntime:
             raise ServoError("servo_init has not run")
         t_cycle = time.perf_counter()
         now = self.clock.now()
-        if self.registry is not None:
-            self.registry.drain_staged()
+        if self.registry is not None and self.registry.drain_staged():
+            # a new goal, gain or enable flag reaches the task states only
+            # through a task round, so one is due now, not at the next swap
+            self._task_trigger_pending = True
 
         t0 = time.perf_counter()
         state = self.interface.read()
@@ -555,6 +569,11 @@ class ServoRuntime:
             # suppressed cycle: hold the last good command
             self.interface.write(self._last_command)
         t_write = time.perf_counter() - t0
+        if not (result.consumed_updates or result.model_swapped) \
+                and self._worker_running():
+            # the controller reused its effort and held the GIL for the
+            # whole cycle; let the worker run before the next one
+            time.sleep(0)
 
         result.command = command
         self._record_cycle(t_cycle, t_read, t_model, t_compute, t_events,
@@ -643,11 +662,16 @@ class ServoRuntime:
         or triggered; False on timeout."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if ((self.model_worker is None or self.model_worker.idle())
-                    and (self.task_worker is None or not self.task_worker.busy)):
+            if not self._worker_running():
                 return True
             time.sleep(0.0005)
         return False
+
+    def _worker_running(self):
+        """A worker has a round running or triggered."""
+        return ((self.model_worker is not None
+                 and not self.model_worker.idle())
+                or (self.task_worker is not None and self.task_worker.busy))
 
     def phase_stats(self, last_n=None):
         """(median, p99) per phase over the recorded window, in seconds.

@@ -75,7 +75,3 @@ class TrajectorySpline:
         acc = ((12 * s - 6) * p0 + (6 * s - 4) * v0
                + (-12 * s + 6) * p1 + (6 * s - 2) * v1) / (h * h)
         return value, vel, acc
-
-
-def build_spline(waypoints):
-    return TrajectorySpline(waypoints)

@@ -131,10 +131,6 @@ class IntraBus:
         for cb in callbacks:
             cb(value)
 
-    def history_probe(self, topic):
-        with self._lock:
-            return self._latched.get(topic)
-
 
 # -- publisher offload ----------------------------------------------------------------
 

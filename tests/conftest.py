@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import wbosc.controller as controller_module
 from wbosc import fixtures
 from wbosc.description import load_description
 from wbosc.model import RobotModel
@@ -24,6 +25,20 @@ def make_model(descriptions):
         model.update_kinematics(q, qd)
         return model
     return _make
+
+
+@pytest.fixture
+def ladder_calls(monkeypatch):
+    """Records every call of the module-level ladder_forces."""
+    calls = []
+    original = controller_module.ladder_forces
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(controller_module, "ladder_forces", counting)
+    return calls
 
 
 def random_configuration(model, rng, scale=1.0):

@@ -261,7 +261,8 @@ def count_calls(fn):
 
 
 @pytest.mark.parametrize("orientation", ["2d", "3d"])
-def test_ladder_work_does_not_grow_with_level_count(orientation, make_model):
+def test_ladder_work_does_not_grow_with_level_count(orientation, make_model,
+                                                    ladder_calls):
     rng = np.random.default_rng(53)
     q, _ = random_configuration(make_model("dreamer22"), rng, scale=0.5)
     model, cset, compound = dreamer_setup(make_model, orientation, q=q)
@@ -272,9 +273,95 @@ def test_ladder_work_does_not_grow_with_level_count(orientation, make_model):
         wbc = Wbosc(22, 16)
         state = state_of(model)
         wbc.compute(model, cset, compound, state)      # layout caches
+        cset.update(model)      # a new constraint version: the ladder reruns
+        del ladder_calls[:]
         calls[n_levels] = count_calls(
             lambda: wbc.compute(model, cset, compound, state))
+        assert len(ladder_calls) == 1
+        wbc.compute(model, cset, compound, state)      # same inputs: reused
+        assert len(ladder_calls) == 1
     assert calls[2] == calls[3] == calls[5], calls
+
+
+# -- reuse of the effort while its inputs are unchanged ----------------------------
+
+def test_reused_effort_equals_fresh_controller(make_model, ladder_calls):
+    model, cset, compound = dreamer_setup(make_model)
+    wbc = Wbosc(22, 16)
+    first = wbc.compute(model, cset, compound, state_of(model))
+    first.effort[:] = 0.0       # the caller owns the command it gets
+    reused = wbc.compute(model, cset, compound, state_of(model))
+    assert len(ladder_calls) == 1
+    fresh = Wbosc(22, 16).compute(model, cset, compound, state_of(model))
+    assert np.array_equal(reused.effort, fresh.effort)
+    assert len(wbc.last_ladder) == 2
+
+
+def _update_model(model, cset, compound):
+    model.update_kinematics(model.q_full.copy(), model.qd_full.copy())
+
+
+def _update_constraints(model, cset, compound):
+    cset.update(model)
+
+
+def _update_task(model, cset, compound):
+    task = compound.task("rightHandPosition")
+    task._goal_position = task._goal_position + 0.01
+    task.update(model, DT)
+    task.consume_update()
+
+
+def _toggle_enabled(model, cset, compound):
+    compound.task("leftHandOrientation").enabled = False
+
+
+def _set_priority(model, cset, compound):
+    compound.set_priority("leftHandPosition", 1)
+
+
+@pytest.mark.parametrize("change", [_update_model, _update_constraints,
+                                    _update_task, _toggle_enabled,
+                                    _set_priority])
+def test_each_input_version_forces_a_recompute(change, make_model,
+                                               ladder_calls):
+    model, cset, compound = dreamer_setup(make_model)
+    wbc = Wbosc(22, 16)
+    wbc.compute(model, cset, compound, state_of(model))
+    change(model, cset, compound)
+    tau = wbc.compute(model, cset, compound, state_of(model)).effort
+    assert len(ladder_calls) == 2
+    fresh = Wbosc(22, 16).compute(model, cset, compound, state_of(model))
+    assert np.array_equal(tau, fresh.effort)
+
+
+def test_internal_force_reference_always_recomputes(make_model, ladder_calls):
+    model, cset, compound = dreamer_setup(make_model)
+    wbc = Wbosc(22, 16)
+    base = wbc.compute(model, cset, compound, state_of(model)).effort
+    w = np.full(16, 0.5)
+    for _ in range(2):
+        tau = wbc.compute(model, cset, compound, state_of(model),
+                          internal_force_ref=w).effort
+        assert np.allclose(tau, base + cset.Lstar.T @ w, rtol=0, atol=1e-9)
+    assert len(ladder_calls) == 3
+    # the reference is not kept: the next call without one recomputes
+    assert np.array_equal(
+        wbc.compute(model, cset, compound, state_of(model)).effort, base)
+    assert len(ladder_calls) == 4
+
+
+def test_non_finite_task_raises_on_every_call(make_model):
+    model, cset, compound = dreamer_setup(make_model)
+    wbc = Wbosc(22, 16)
+    wbc.compute(model, cset, compound, state_of(model))
+    task = compound.task("rightHandPosition")
+    task._goal_position = np.full(3, np.nan)
+    task.update(model, DT)
+    task.consume_update()
+    for _ in range(3):
+        with pytest.raises(CommandError, match="rightHandPosition"):
+            wbc.compute(model, cset, compound, state_of(model))
 
 
 def test_internal_force_reference_is_motion_inert(make_model):
@@ -335,6 +422,26 @@ def test_impedance_full_relaxation_tracks_measured(make_model):
     assert np.allclose(cmd.position, st.position, atol=1e-12)
     assert np.allclose(cmd.velocity, st.velocity, atol=1e-12)
     assert np.allclose(cmd.position_kp, 10.0)
+
+
+def test_impedance_integrates_on_reused_effort(make_model, ladder_calls):
+    model, cset, compound = dreamer_setup(make_model)
+    st = state_of(model)
+    st.position += 0.01
+    reused, recomputed = (WboscImpedance(22, 16, relaxation=0.05)
+                          for _ in range(2))
+    other = ConstraintSet(cset.constraints)
+    positions = []
+    for _ in range(5):
+        a = reused.compute(model, cset, compound, st, dt=DT)
+        other.update(model)         # same values, new version: no reuse
+        b = recomputed.compute(model, other, compound, st, dt=DT)
+        assert np.array_equal(a.position, b.position)
+        assert np.array_equal(a.velocity, b.velocity)
+        assert np.array_equal(a.effort, b.effort)
+        positions.append(a.position)
+    assert len(ladder_calls) == 1 + 5
+    assert all(np.abs(p - positions[0]).max() > 0 for p in positions[1:])
 
 
 def test_impedance_zero_torque_zero_gravity_at_rest_unchanged():

@@ -309,3 +309,109 @@ def test_phase_stats_recorded():
         assert phase in stats
         median, p99 = stats[phase]
         assert 0.0 <= median <= p99
+
+
+# -- reuse of the effort, yielding, and goals between model swaps ---------------------
+
+def record_yields(monkeypatch):
+    """Counts time.sleep(0) calls made by this (the servo) thread."""
+    yields = []
+    sleep = time.sleep
+    servo = threading.get_ident()
+
+    def recording(seconds):
+        if seconds == 0 and threading.get_ident() == servo:
+            yields.append(seconds)
+        sleep(seconds)
+
+    monkeypatch.setattr(time, "sleep", recording)
+    return yields
+
+
+def test_single_threaded_recomputes_every_cycle(monkeypatch, ladder_calls):
+    yields = record_yields(monkeypatch)
+    ctl = build_pend(single_threaded=True)
+    with ctl:
+        ctl.start()
+        ctl.run(cycles=20)
+    assert len(ladder_calls) == 20
+    assert yields == []
+
+
+def held_model_worker():
+    """A multi-threaded pend1 controller whose model worker waits at its
+    gate until the returned event is set: no model is ever swapped."""
+    gate = threading.Event()
+    iface = FrozenInterface(1, position=[0.2])
+    ctl = build_pend(interface=iface,
+                     hooks=ServoHooks(model_worker_gate=lambda: gate.wait(5.0)))
+    return ctl, iface, gate
+
+
+def run_until(ctl, done, cycles=2000):
+    for _ in range(cycles):
+        result = ctl.runtime.servo_update()
+        ctl.clock.tick()
+        if done(result):
+            return result
+        time.sleep(1e-4)
+    return None
+
+
+def test_goal_reaches_command_without_model_swap():
+    ctl, iface, gate = held_model_worker()
+    with ctl:
+        try:
+            ctl.start()
+            ctl.run(cycles=5)
+            before = iface.last_effort.copy()
+            ctl.bus.publish("goals/posture", np.array([0.6]))
+            result = run_until(
+                ctl, lambda r: not np.array_equal(iface.last_effort, before))
+            assert result is not None, "the goal never reached the command"
+            assert ctl.runtime.stats.model_swaps == 0
+            assert not ctl.runtime.model_worker.idle()
+        finally:
+            gate.set()
+
+
+def test_reused_cycles_yield_to_a_running_worker(monkeypatch, ladder_calls):
+    ctl, iface, gate = held_model_worker()
+    with ctl:
+        try:
+            ctl.start()
+            ctl.run(cycles=1)       # stages a model round: the worker waits
+            del ladder_calls[:]
+            yields = record_yields(monkeypatch)
+            quiet = 0
+            for _ in range(10):
+                before = len(yields)
+                result = ctl.runtime.servo_update()
+                ctl.clock.tick()
+                if not (result.consumed_updates or result.model_swapped):
+                    quiet += 1
+                    assert len(yields) == before + 1
+            assert quiet and len(yields) == quiet
+            # a quiet cycle reuses the last effort
+            assert len(ladder_calls) == 10 - quiet
+        finally:
+            gate.set()
+
+
+def test_nan_task_suppressed_every_cycle_and_last_command_held():
+    iface = FrozenInterface(1, position=[0.2])
+    ctl = build_pend(interface=iface)
+    with ctl:
+        ctl.start()
+        ctl.run(cycles=5)
+        good = iface.last_effort.copy()
+        ctl.bus.publish("goals/posture", np.array([np.nan]))
+        first = run_until(ctl, lambda r: r.suppressed)
+        assert first is not None, "the NaN goal never reached the controller"
+        for _ in range(50):
+            result = ctl.runtime.servo_update()
+            ctl.clock.tick()
+            assert result.suppressed and result.command is None
+            assert np.array_equal(iface.last_effort, good)
+            time.sleep(1e-4)
+        assert ctl.runtime.stats.suppressed_commands >= 51
