@@ -83,9 +83,9 @@ def build_task(spec, model):
             spec.name, model, _gains(p, 3), link=p["link"],
             control_point=p.get("controlPoint", (0.0, 0.0, 0.0)))
         goal = p.get("goalPosition")
-        task._goal_position = (task.current_position(model).copy()
-                               if goal is None
-                               else np.asarray(goal, dtype=float))
+        task.goals["goalPosition"] = (task.current_position(model).copy()
+                                      if goal is None
+                                      else np.asarray(goal, dtype=float))
         return task
     if spec.type == "Orientation3DTask":
         _check_keys(p, ("link", "goalOrientation"), where)
@@ -96,7 +96,7 @@ def build_task(spec, model):
         if goal is None:
             from .geometry import quat_from_matrix
             goal = quat_from_matrix(model.link_transform(p["link"])[:3, :3])
-        task._goal_orientation = np.asarray(goal, dtype=float)
+        task.goals["goalOrientation"] = np.asarray(goal, dtype=float)
         return task
     if spec.type == "Orientation2DTask":
         _check_keys(p, ("link", "bodyVector", "goalVector"), where)
@@ -107,15 +107,15 @@ def build_task(spec, model):
                                  link=p["link"], body_vector=body,
                                  goal_vector=(0.0, 0.0, 1.0))
         goal = p.get("goalVector")
-        task._goal_vector = (task.heading(model).copy() if goal is None
-                             else np.asarray(goal, dtype=float))
+        task.goals["goalVector"] = (task.heading(model).copy() if goal is None
+                                    else np.asarray(goal, dtype=float))
         return task
     if spec.type == "COMTask":
         _check_keys(p, ("goalPosition",), where)
         task = ComTask(spec.name, model, _gains(p, 3))
         goal = p.get("goalPosition")
-        task._goal_position = (model.com()[0].copy() if goal is None
-                               else np.asarray(goal, dtype=float))
+        task.goals["goalPosition"] = (model.com()[0].copy() if goal is None
+                                      else np.asarray(goal, dtype=float))
         return task
     raise AssemblyError(f"{where}: unknown task type {spec.type!r}")
 

@@ -68,7 +68,7 @@ class FlatContactConstraint(Constraint):
         return model.spatial_jacobian(self.link, out=out)
 
     def constrained_joint_names(self, model):
-        return _path_joint_names(model, self.link)
+        return model.path_joint_names(self.link)
 
 
 class PointContactConstraint(Constraint):
@@ -86,7 +86,7 @@ class PointContactConstraint(Constraint):
         return model.point_jacobian(self.link, self.point, out=out)
 
     def constrained_joint_names(self, model):
-        return _path_joint_names(model, self.link)
+        return model.path_joint_names(self.link)
 
 
 class CoactuationConstraint(Constraint):
@@ -214,13 +214,3 @@ CONSTRAINT_TYPES = {
                 CoactuationConstraint)
 }
 
-
-def _path_joint_names(model, link):
-    body = model._bodies[model.body_index(link)]
-    names = []
-    real_names = model.ordering.real_joint_names
-    virtual = len(model.ordering.virtual_indices)
-    for d in body.dof_path:
-        if d >= virtual:
-            names.append(real_names[d - virtual])
-    return tuple(names)

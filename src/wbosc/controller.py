@@ -359,10 +359,6 @@ class WboscImpedance(Wbosc):
         self._qi = None
         self._qdi = None
 
-    def reset_internal_state(self):
-        self._qi = None
-        self._qdi = None
-
     def compute(self, model, constraint_set, compound, robot_state,
                 internal_force_ref=None, dt=None):
         if dt is None or dt <= 0.0:

@@ -162,9 +162,6 @@ class RobotDescription:
         except KeyError:
             raise DescriptionError(f"unknown joint {name!r}") from None
 
-    def has_link(self, name):
-        return name in self._links_by_name
-
     @property
     def floating_joint(self):
         for j in self.joints:

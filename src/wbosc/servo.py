@@ -13,18 +13,20 @@ One servo cycle: read robot state, check for updates, stage joint state for
 the model worker (try-acquire; skip on contention), check again, compute the
 command from the active copies, emit events, write, publish diagnostics.
 
-check_for_updates pulls completed task updates, re-scans once more when the
-task worker is idle (without the second scan, updates completed between the
-first scan and the idle check could be lost permanently: the worker only
-reports per-task completion after it finishes each task, so a scan racing
-the end of a round can miss the tasks it already passed), then swaps the
-model pair when the inactive copy is fresh.  The task worker is handed the
-new active model and triggered only while idle; if it is busy the trigger is
-deferred to the first later cycle that finds it idle.  A cycle whose
-parameter drain applied a staged input (a goal, gain or enable flag) also
-makes a task round due, so the input reaches the task states without
-waiting for the next swap.  Staging is skipped while the task worker is
-still reading the copy that would be overwritten.
+check_for_updates reads the task worker's idle state once, pulls the
+completed task updates in one scan, then swaps the model pair when the
+inactive copy is fresh.  A new task round, handed the active model, is
+triggered only when that one reading, taken before the scan, was idle.  The
+worker flags each task as it finishes it, so a round can end while the scan
+is under way; a reading taken after the scan could then start a new round
+before the scan had consumed a task it had already passed, and that round
+would overwrite the pending update.  Read first, a round that ends mid-scan
+simply waits for the next scan, and the trigger is deferred to the first
+later check that reads the worker idle.  A cycle whose parameter drain
+applied a staged input (a goal, gain or enable flag) also makes a task round
+due, so the input reaches the task states without waiting for the next
+swap.  Staging is skipped while the task worker is still reading the copy
+that would be overwritten.
 
 The controller reuses its last effort while the active model copy, the
 active task states and the enabled/priority configuration are unchanged
@@ -41,7 +43,8 @@ and nothing yields.
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -157,7 +160,7 @@ class RuntimeStats:
 class ServoHooks:
     """Optional synchronization points for deterministic interleaving tests."""
 
-    first_scan_step: object = None      # fn(task_index) after each first-scan check
+    scan_step: object = None            # fn(task_index) after each scan check
     task_worker_gate: object = None     # fn() at the start of each worker round
     model_worker_gate: object = None
     after_task_trigger: object = None   # fn() right after the worker is triggered
@@ -198,24 +201,27 @@ class DoubleBuffer:
 
 # -- workers ---------------------------------------------------------------------
 
-class ModelWorker:
-    """Updates the inactive model copy from staged joint state on trigger."""
+class Worker:
+    """One worker thread that runs a round each time it is triggered.
 
-    def __init__(self, buffers, n_joints, hooks=None, delay=None,
-                 on_error=None):
-        self.buffers = buffers
-        self._staged_q = np.zeros(n_joints)
-        self._staged_qd = np.zeros(n_joints)
-        self._staged_stamp = 0.0
-        self._trigger = threading.Event()
-        self._stop = threading.Event()
-        self._hooks = hooks
+    ``body`` yields (label, step) pairs; a step that raises ends in
+    ``on_error("<label> failed: <exc>")`` and the round goes on.  ``gate`` and
+    ``delay`` run before each round (test seams).  ``idle()`` is true when no
+    round is running and none is triggered; the servo reads it without
+    blocking, and only the servo triggers, so an idle reading stays true
+    until the servo's next trigger."""
+
+    def __init__(self, name, body, gate=None, delay=None, on_error=None):
+        self._body = body
+        self._gate = gate
         self._delay = delay
         self._on_error = on_error
         self.rounds = 0
         self._running = False
+        self._trigger = threading.Event()
+        self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="model-updater")
+                                        name=name)
 
     def start(self):
         self._thread.start()
@@ -226,102 +232,34 @@ class ModelWorker:
         if self._thread.is_alive():
             self._thread.join(timeout=2.0)
 
-    def stage(self, state, stamp):
-        """Caller must hold the buffer guard (servo-side try-acquire)."""
-        self._staged_q[:] = state.position
-        self._staged_qd[:] = state.velocity
-        self._staged_stamp = stamp
-
     def trigger(self):
         self._trigger.set()
 
     def idle(self):
-        """No round running and none triggered."""
         return not (self._running or self._trigger.is_set())
 
     def _run(self):
         while not self._stop.is_set():
             if not self._trigger.wait(timeout=0.2):
                 continue
+            # running is raised before the trigger is cleared, so idle()
+            # never reads true between the two
             self._running = True
             self._trigger.clear()
             if self._stop.is_set():
                 return
-            if self._hooks is not None and self._hooks.model_worker_gate:
-                self._hooks.model_worker_gate()
+            if self._gate is not None:
+                self._gate()
             if self._delay is not None:
                 time.sleep(self._delay())
-            try:
-                with self.buffers.guard:
-                    self.buffers.inactive.update(self._staged_q,
-                                                 self._staged_qd,
-                                                 self._staged_stamp)
-                    self.buffers.update_ready = True
-            except Exception as exc:
-                if self._on_error is not None:
-                    self._on_error(f"model update failed: {exc}")
-            self.rounds += 1
-            self._running = False
-
-
-class TaskWorker:
-    """Updates every enabled task against a model snapshot on trigger.
-
-    Per-task completion flags are set by Task.update only after the state is
-    fully written; the worker reports idle only after the whole round."""
-
-    def __init__(self, compound, period, hooks=None, delay=None,
-                 on_error=None):
-        self.compound = compound
-        self.period = period
-        self.busy = False
-        self.snapshot = None
-        self._trigger = threading.Event()
-        self._stop = threading.Event()
-        self._hooks = hooks
-        self._delay = delay
-        self._on_error = on_error
-        self.rounds = 0
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="task-updater")
-
-    def start(self):
-        self._thread.start()
-
-    def stop(self):
-        self._stop.set()
-        self._trigger.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=2.0)
-
-    def trigger(self, servo_model):
-        """Servo-side; callers must only trigger while idle."""
-        self.snapshot = servo_model
-        self.busy = True
-        self._trigger.set()
-
-    def _run(self):
-        while not self._stop.is_set():
-            if not self._trigger.wait(timeout=0.2):
-                continue
-            self._trigger.clear()
-            if self._stop.is_set():
-                return
-            if self._hooks is not None and self._hooks.task_worker_gate:
-                self._hooks.task_worker_gate()
-            if self._delay is not None:
-                time.sleep(self._delay())
-            model = self.snapshot.model
-            for task in self.compound.tasks():
-                if not task.enabled:
-                    continue
+            for label, step in self._body():
                 try:
-                    task.update(model, self.period)
+                    step()
                 except Exception as exc:
                     if self._on_error is not None:
-                        self._on_error(f"task {task.name!r} update failed: {exc}")
+                        self._on_error(f"{label} failed: {exc}")
             self.rounds += 1
-            self.busy = False
+            self._running = False
 
 
 # -- coordinator -------------------------------------------------------------------
@@ -333,7 +271,6 @@ class CycleResult:
     suppressed: bool = False
     model_swapped: bool = False
     consumed_updates: int = 0
-    timings: dict = field(default_factory=dict)
 
 
 class ServoRuntime:
@@ -343,7 +280,7 @@ class ServoRuntime:
                  registry=None, publish=None, limit_flags=None,
                  description=None, single_threaded_model=False,
                  single_threaded_tasks=False, hooks=None,
-                 worker_delay=None, history=2048, warn_staleness=None):
+                 worker_delay=None, history=2048):
         self.name = name
         self.compound = compound
         self.wbc = wbc
@@ -356,13 +293,16 @@ class ServoRuntime:
         self.single_threaded_model = single_threaded_model
         self.single_threaded_tasks = single_threaded_tasks
         self.hooks = hooks or ServoHooks()
-        self.warn_staleness = warn_staleness
         self.stats = RuntimeStats()
         self.buffers = DoubleBuffer(model_pair[0], model_pair[1], self.stats)
         self.model_worker = None
         self.task_worker = None
+        n_joints = model_pair[0].model.n_joints
+        self._staged_q = np.zeros(n_joints)     # written under the guard
+        self._staged_qd = np.zeros(n_joints)
+        self._staged_stamp = 0.0
+        self._task_model = None     # the copy the task worker's round reads
         self._task_trigger_pending = False
-        self._second_scan_enabled = True      # the starvation fix; tests may flip
         self._worker_delay = worker_delay
         self._last_task_seq = {}
         self.cycle_count = 0
@@ -407,24 +347,22 @@ class ServoRuntime:
             self.publish("diagnostics/errors", text)
 
         if not self.single_threaded_model:
-            self.model_worker = ModelWorker(self.buffers,
-                                            self.active.model.n_joints,
-                                            self.hooks, self._worker_delay,
-                                            on_error=worker_error)
+            self.model_worker = Worker("model-updater", self._model_round,
+                                       self.hooks.model_worker_gate,
+                                       self._worker_delay, worker_error)
             self.model_worker.start()
         if not self.single_threaded_tasks:
-            self.task_worker = TaskWorker(self.compound, self.period,
-                                          self.hooks, self._worker_delay,
-                                          on_error=worker_error)
+            self.task_worker = Worker("task-updater", self._task_round,
+                                      self.hooks.task_worker_gate,
+                                      self._worker_delay, worker_error)
             self.task_worker.start()
         self._initialized = True
         return self
 
     def stop(self):
-        if self.model_worker is not None:
-            self.model_worker.stop()
-        if self.task_worker is not None:
-            self.task_worker.stop()
+        for worker in (self.model_worker, self.task_worker):
+            if worker is not None:
+                worker.stop()
 
     def __enter__(self):
         if not self._initialized:
@@ -434,11 +372,32 @@ class ServoRuntime:
     def __exit__(self, *exc):
         self.stop()
 
+    # -- worker rounds ---------------------------------------------------------
+
+    def _model_round(self):
+        """Model worker: refresh the inactive copy from the staged state."""
+        yield "model update", self._update_inactive_model
+
+    def _update_inactive_model(self):
+        with self.buffers.guard:
+            self.buffers.inactive.update(self._staged_q, self._staged_qd,
+                                         self._staged_stamp)
+            self.buffers.update_ready = True
+
+    def _task_round(self):
+        """Task worker: update every enabled task against the handed copy.
+        Each task flags its own completion; the round ends after the last."""
+        model = self._task_model.model
+        for task in self.compound.tasks():
+            if task.enabled:
+                yield (f"task {task.name!r} update",
+                       partial(task.update, model, self.period))
+
     # -- update pulling -------------------------------------------------------
 
-    def _scan_tasks(self, first_scan):
+    def _scan_tasks(self):
         consumed = 0
-        hook = self.hooks.first_scan_step if first_scan else None
+        hook = self.hooks.scan_step
         for idx, task in enumerate(self.compound.tasks()):
             seq = task.consume_update()
             if seq is not None:
@@ -453,12 +412,13 @@ class ServoRuntime:
         return consumed
 
     def check_for_updates(self):
-        """Pull task updates (with the post-idle re-scan), then swap in a
-        fresh model and hand it to the task worker when possible."""
-        consumed = self._scan_tasks(first_scan=True)
-        if (self._second_scan_enabled and self.task_worker is not None
-                and not self.task_worker.busy):
-            consumed += self._scan_tasks(first_scan=False)
+        """Pull task updates, then swap in a fresh model and hand it to the
+        task worker when possible."""
+        # read before the scan: if the worker was idle then, its last round
+        # was complete and this scan consumes all of it before a new round
+        # can overwrite any task's state
+        tasks_idle = self.task_worker is not None and self.task_worker.idle()
+        consumed = self._scan_tasks()
         swapped = False
         if self.model_worker is not None \
                 and self.buffers.guard.acquire(blocking=False):
@@ -472,9 +432,9 @@ class ServoRuntime:
             self.stats.model_swaps += 1
             self.last_model_swap_time = self.buffers.last_update_timestamp
             self._task_trigger_pending = True
-        if self._task_trigger_pending and self.task_worker is not None \
-                and not self.task_worker.busy:
-            self.task_worker.trigger(self.active)
+        if self._task_trigger_pending and tasks_idle:
+            self._task_model = self.active
+            self.task_worker.trigger()
             self._task_trigger_pending = False
             if self.hooks.after_task_trigger is not None:
                 self.hooks.after_task_trigger()
@@ -482,8 +442,8 @@ class ServoRuntime:
 
     def _stage_model_update(self, state):
         """Hand the latest joint state to the model worker without blocking."""
-        if self.task_worker is not None and self.task_worker.busy \
-                and self.task_worker.snapshot is self.buffers.inactive:
+        if self.task_worker is not None and not self.task_worker.idle() \
+                and self._task_model is self.buffers.inactive:
             # the worker is still reading the copy we would overwrite
             self.stats.staging_skips += 1
             return False
@@ -491,7 +451,9 @@ class ServoRuntime:
             self.stats.staging_skips += 1
             return False
         try:
-            self.model_worker.stage(state, self.clock.now())
+            self._staged_q[:] = state.position
+            self._staged_qd[:] = state.velocity
+            self._staged_stamp = self.clock.now()
         finally:
             self.buffers.guard.release()
         self.model_worker.trigger()
@@ -612,9 +574,6 @@ class ServoRuntime:
         self._prev_cycle_start = now
 
         model_latency = now - self.last_model_swap_time
-        if self.warn_staleness is not None and model_latency > self.warn_staleness:
-            self.publish("diagnostics/warnings",
-                         f"model staleness {model_latency:.6f}s")
         self.publish("diagnostics/servoFrequency", self._frequency[idx])
         self.publish("diagnostics/servoComputeLatency", total)
         self.publish("diagnostics/modelLatency", model_latency)
@@ -671,7 +630,8 @@ class ServoRuntime:
         """A worker has a round running or triggered."""
         return ((self.model_worker is not None
                  and not self.model_worker.idle())
-                or (self.task_worker is not None and self.task_worker.busy))
+                or (self.task_worker is not None
+                    and not self.task_worker.idle()))
 
     def phase_stats(self, last_n=None):
         """(median, p99) per phase over the recorded window, in seconds.

@@ -50,10 +50,6 @@ class TrajectorySpline:
         return np.linalg.solve(M, rhs)
 
     @property
-    def start_time(self):
-        return self.times[0]
-
-    @property
     def end_time(self):
         return self.times[-1]
 

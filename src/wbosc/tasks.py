@@ -10,7 +10,15 @@ enabled tasks at one priority level, in declaration order.
 Binding surface (dot-namespaced by task name, case-sensitive): goalPosition,
 goalVelocity, goalAcceleration, goalOrientation, goalAngularVelocity,
 goalVector, kp, ki, kd, error, enabled, currentAcceleration.
+
+Each task keeps its goals in one store, ``Task.goals``: a dict from the goal
+parameter name to its vector, filled by the constructor.  Declaring the
+parameters declares every entry as a VECTOR parameter whose setter replaces
+the entry, so a goal set through the registry and a goal written into
+``goals`` reach the next update the same way.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -52,9 +60,6 @@ class PIDController:
         self.gains = gains
         self.integral = np.zeros(gains.dimension)
 
-    def reset(self):
-        self.integral[:] = 0.0
-
     def command(self, error, error_dot, feedforward, dt):
         if dt <= 0.0:
             raise TaskError("dt must be positive")
@@ -81,15 +86,18 @@ class TaskState:
 
 
 class Task:
-    """Base: double-buffered state and the parameter reflection surface."""
+    """Base: double-buffered state, the goal store and the parameter
+    reflection surface."""
 
     type_name = "Task"
 
-    def __init__(self, name, dimension, n_dofs, gains):
+    def __init__(self, name, dimension, n_dofs, gains, goals):
         self.name = name
         self.dimension = dimension
         self.n_dofs = n_dofs
         self.enabled = True
+        self.goals = {key: np.array(value, dtype=float)
+                      for key, value in goals.items()}
         self.gains = gains
         self.pid = PIDController(gains)
         self._states = [TaskState(dimension, n_dofs), TaskState(dimension, n_dofs)]
@@ -147,16 +155,15 @@ class Task:
                                          ParameterKind.VECTOR,
                                          np.zeros(self.dimension),
                                          writable=False)
+        for key, value in self.goals.items():
+            registry.declare(self.name, key, ParameterKind.VECTOR, value,
+                             setter=partial(self.goals.__setitem__, key))
 
     def _set_gain(self, which, value):
         arr = self.gains._vec(value)
         if np.any(arr < 0.0):
             raise TaskError(f"{which} must be non-negative")
         getattr(self.gains, which)[:] = arr
-
-    def _declare_goal(self, registry, name, initial):
-        return registry.declare(self.name, name, ParameterKind.VECTOR,
-                                np.asarray(initial, dtype=float))
 
 
 class JointPositionTask(Task):
@@ -167,39 +174,27 @@ class JointPositionTask(Task):
     def __init__(self, name, model, gains, goal_position=None,
                  goal_velocity=None, goal_acceleration=None):
         n = model.n_joints
-        super().__init__(name, n, model.n_dofs, gains)
-        self._goal_position = np.zeros(n) if goal_position is None \
-            else np.asarray(goal_position, dtype=float)
-        self._goal_velocity = np.zeros(n) if goal_velocity is None \
-            else np.asarray(goal_velocity, dtype=float)
-        self._goal_acceleration = np.zeros(n) if goal_acceleration is None \
-            else np.asarray(goal_acceleration, dtype=float)
-        for v in (self._goal_position, self._goal_velocity, self._goal_acceleration):
+        zero = np.zeros(n)
+        super().__init__(name, n, model.n_dofs, gains, {
+            "goalPosition": zero if goal_position is None else goal_position,
+            "goalVelocity": zero if goal_velocity is None else goal_velocity,
+            "goalAcceleration":
+                zero if goal_acceleration is None else goal_acceleration})
+        for v in self.goals.values():
             if v.shape != (n,):
                 raise TaskError(f"goal length {v.shape} != n_joints {n}")
-        self._p_goal_pos = None
         self._p_current_acc = None
 
     def declare_parameters(self, registry):
         super().declare_parameters(registry)
-        self._p_goal_pos = self._declare_goal(registry, "goalPosition",
-                                              self._goal_position)
-        self._p_goal_vel = self._declare_goal(registry, "goalVelocity",
-                                              self._goal_velocity)
-        self._p_goal_acc = self._declare_goal(registry, "goalAcceleration",
-                                              self._goal_acceleration)
         self._p_current_acc = registry.declare(
             self.name, "currentAcceleration", ParameterKind.VECTOR,
             np.zeros(self.dimension), writable=False)
 
-    def _goals(self):
-        if self._p_goal_pos is not None:
-            return (self._p_goal_pos.value, self._p_goal_vel.value,
-                    self._p_goal_acc.value)
-        return self._goal_position, self._goal_velocity, self._goal_acceleration
-
     def _compute(self, model, state, dt):
-        goal_q, goal_qd, goal_qdd = self._goals()
+        goal_q = self.goals["goalPosition"]
+        goal_qd = self.goals["goalVelocity"]
+        goal_qdd = self.goals["goalAcceleration"]
         state.jacobian[:] = model.underactuation_matrix()
         np.subtract(goal_q, model.q_actual(), out=state.error)
         state.command[:] = self.pid.command(
@@ -215,42 +210,26 @@ class CartesianPositionTask(Task):
 
     def __init__(self, name, model, gains, link, control_point=(0, 0, 0),
                  goal_position=None):
-        super().__init__(name, 3, model.n_dofs, gains)
+        super().__init__(name, 3, model.n_dofs, gains, {
+            "goalPosition": np.zeros(3) if goal_position is None
+            else goal_position,
+            "goalVelocity": np.zeros(3), "goalAcceleration": np.zeros(3)})
         model.body_index(link)  # validate early
         self.link = link
         self.control_point = np.asarray(control_point, dtype=float)
-        if goal_position is None:
-            goal_position = np.zeros(3)
-        self._p_goal_pos = None
-        self._goal_position = np.asarray(goal_position, dtype=float)
-        self._goal_velocity = np.zeros(3)
-        self._goal_acceleration = np.zeros(3)
-
-    def declare_parameters(self, registry):
-        super().declare_parameters(registry)
-        self._p_goal_pos = self._declare_goal(registry, "goalPosition",
-                                              self._goal_position)
-        self._p_goal_vel = self._declare_goal(registry, "goalVelocity",
-                                              self._goal_velocity)
-        self._p_goal_acc = self._declare_goal(registry, "goalAcceleration",
-                                              self._goal_acceleration)
 
     def current_position(self, model):
         T = model.link_transform(self.link)
         return T[:3, :3] @ self.control_point + T[:3, 3]
 
-    def _goals(self):
-        if self._p_goal_pos is not None:
-            return (self._p_goal_pos.value, self._p_goal_vel.value,
-                    self._p_goal_acc.value)
-        return self._goal_position, self._goal_velocity, self._goal_acceleration
-
     def _compute(self, model, state, dt):
-        goal_p, goal_v, goal_a = self._goals()
+        goals = self.goals
         model.point_jacobian(self.link, self.control_point, out=state.jacobian)
-        np.subtract(goal_p, self.current_position(model), out=state.error)
-        vel_error = goal_v - state.jacobian @ model.qd_full
-        state.command[:] = self.pid.command(state.error, vel_error, goal_a, dt)
+        np.subtract(goals["goalPosition"], self.current_position(model),
+                    out=state.error)
+        vel_error = goals["goalVelocity"] - state.jacobian @ model.qd_full
+        state.command[:] = self.pid.command(state.error, vel_error,
+                                            goals["goalAcceleration"], dt)
 
 
 class Orientation3DTask(Task):
@@ -264,27 +243,15 @@ class Orientation3DTask(Task):
     type_name = "Orientation3DTask"
 
     def __init__(self, name, model, gains, link, goal_orientation=(1, 0, 0, 0)):
-        super().__init__(name, 3, model.n_dofs, gains)
+        super().__init__(name, 3, model.n_dofs, gains, {
+            "goalOrientation": goal_orientation,
+            "goalAngularVelocity": np.zeros(3)})
         model.body_index(link)
         self.link = link
-        self._goal_orientation = np.asarray(goal_orientation, dtype=float)
-        self._goal_angular_velocity = np.zeros(3)
-        self._p_goal_quat = None
-
-    def declare_parameters(self, registry):
-        super().declare_parameters(registry)
-        self._p_goal_quat = self._declare_goal(registry, "goalOrientation",
-                                               self._goal_orientation)
-        self._p_goal_omega = self._declare_goal(registry, "goalAngularVelocity",
-                                                self._goal_angular_velocity)
-
-    def _goals(self):
-        if self._p_goal_quat is not None:
-            return self._p_goal_quat.value, self._p_goal_omega.value
-        return self._goal_orientation, self._goal_angular_velocity
 
     def _compute(self, model, state, dt):
-        goal_q, goal_w = self._goals()
+        goal_q = self.goals["goalOrientation"]
+        goal_w = self.goals["goalAngularVelocity"]
         if abs(np.linalg.norm(goal_q) - 1.0) > 1e-6:
             raise TaskError(
                 f"task {self.name!r}: goal quaternion is not unit norm")
@@ -314,19 +281,13 @@ class Orientation2DTask(Task):
 
     def __init__(self, name, model, gains, link, body_vector=(0, 0, 1),
                  goal_vector=(0, 0, 1)):
-        super().__init__(name, 2, model.n_dofs, gains)
+        super().__init__(name, 2, model.n_dofs, gains, {
+            "goalVector": _unit(np.asarray(goal_vector, dtype=float),
+                                "goalVector")})
         model.body_index(link)
         self.link = link
         self.body_vector = _unit(np.asarray(body_vector, dtype=float),
                                  "bodyVector")
-        self._goal_vector = _unit(np.asarray(goal_vector, dtype=float),
-                                  "goalVector")
-        self._p_goal_vec = None
-
-    def declare_parameters(self, registry):
-        super().declare_parameters(registry)
-        self._p_goal_vec = self._declare_goal(registry, "goalVector",
-                                              self._goal_vector)
 
     def heading(self, model):
         return model.link_transform(self.link)[:3, :3] @ self.body_vector
@@ -340,8 +301,7 @@ class Orientation2DTask(Task):
         return np.vstack([b1, b2])
 
     def _compute(self, model, state, dt):
-        goal = _unit(np.asarray(self._goal_vec_value(), dtype=float),
-                     "goalVector")
+        goal = _unit(self.goals["goalVector"], "goalVector")
         h = self.heading(model)
         if h @ goal < -1.0 + 1e-9:
             raise TaskError(
@@ -355,11 +315,6 @@ class Orientation2DTask(Task):
         state.command[:] = self.pid.command(state.error, vel_error,
                                             np.zeros(2), dt)
 
-    def _goal_vec_value(self):
-        if self._p_goal_vec is not None:
-            return self._p_goal_vec.value
-        return self._goal_vector
-
 
 class ComTask(Task):
     """Whole-robot center of mass position."""
@@ -367,22 +322,14 @@ class ComTask(Task):
     type_name = "COMTask"
 
     def __init__(self, name, model, gains, goal_position=None):
-        super().__init__(name, 3, model.n_dofs, gains)
-        self._goal_position = np.zeros(3) if goal_position is None \
-            else np.asarray(goal_position, dtype=float)
-        self._p_goal_pos = None
-
-    def declare_parameters(self, registry):
-        super().declare_parameters(registry)
-        self._p_goal_pos = self._declare_goal(registry, "goalPosition",
-                                              self._goal_position)
+        super().__init__(name, 3, model.n_dofs, gains, {
+            "goalPosition": np.zeros(3) if goal_position is None
+            else goal_position})
 
     def _compute(self, model, state, dt):
-        goal = self._p_goal_pos.value if self._p_goal_pos is not None \
-            else self._goal_position
         c, J = model.com()
         state.jacobian[:] = J
-        np.subtract(goal, c, out=state.error)
+        np.subtract(self.goals["goalPosition"], c, out=state.error)
         vel_error = -(state.jacobian @ model.qd_full)
         state.command[:] = self.pid.command(state.error, vel_error,
                                             np.zeros(3), dt)

@@ -226,11 +226,6 @@ class BindingConfig:
     def latched(self):
         return _to_bool(self.properties.get("latched", False))
 
-    @property
-    def queue_size(self):
-        size = self.properties.get("queue_size")
-        return None if size is None else int(size)
-
 
 class OutputBinding:
     """Attached to a parameter; offer() applies the rate limit and enqueues."""
@@ -244,7 +239,6 @@ class OutputBinding:
         self._min_interval = (None if config.publish_rate is None
                               else 1.0 / config.publish_rate)
         self._last_publish = None
-        self._outstanding = 0
         self.published = 0
         self.rate_limited = 0
 
@@ -494,9 +488,6 @@ class BindingManager:
         except KeyError:
             raise TransportError(
                 f"unknown transport type {transport_type!r}") from None
-
-    def has_transport(self, transport_type):
-        return transport_type in self._factories
 
     def bind(self, registry, config):
         parameter = registry.lookup(config.parameter)

@@ -239,7 +239,7 @@ def test_criterion_04_priority_non_interference():
         compound = CompoundTask()
         cart = CartesianPositionTask("tip", model2, PIDGains(3, kp=64.0, kd=3.0),
                                      link="lower", control_point=[0.5, 0, 0])
-        cart._goal_position = cart.current_position(model2) \
+        cart.goals["goalPosition"] = cart.current_position(model2) \
             + rng.uniform(-0.1, 0.1, 3)
         compound.add(cart, 0)
         update_all(compound, model2)
@@ -344,7 +344,7 @@ def test_criterion_08_concurrency():
     from test_servo import (FrozenInterface, build_pend, build_dreamer,
                             run_starvation_cycle)
     # deterministic starvation interleaving
-    consumed, lost = run_starvation_cycle(second_scan_enabled=True)
+    consumed, lost = run_starvation_cycle()
     starvation_ok = consumed >= 5 and lost == 0
 
     # randomized scheduling stress

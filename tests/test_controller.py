@@ -86,7 +86,8 @@ def test_single_level_ladder_matches_direct_formula(make_model):
         compound = CompoundTask()
         cart = CartesianPositionTask("tip", model, PIDGains(3, kp=64.0, kd=3.0),
                                      link="lower", control_point=[0.5, 0.0, 0.0])
-        cart._goal_position = cart.current_position(model) + rng.uniform(-0.1, 0.1, 3)
+        cart.goals["goalPosition"] = (cart.current_position(model)
+                                       + rng.uniform(-0.1, 0.1, 3))
         compound.add(cart, 0)
         update_all(compound, model)
         cmd = Wbosc(2, 2).compute(model, cset, compound, state_of(model))
@@ -307,7 +308,7 @@ def _update_constraints(model, cset, compound):
 
 def _update_task(model, cset, compound):
     task = compound.task("rightHandPosition")
-    task._goal_position = task._goal_position + 0.01
+    task.goals["goalPosition"] = task.goals["goalPosition"] + 0.01
     task.update(model, DT)
     task.consume_update()
 
@@ -356,7 +357,7 @@ def test_non_finite_task_raises_on_every_call(make_model):
     wbc = Wbosc(22, 16)
     wbc.compute(model, cset, compound, state_of(model))
     task = compound.task("rightHandPosition")
-    task._goal_position = np.full(3, np.nan)
+    task.goals["goalPosition"] = np.full(3, np.nan)
     task.update(model, DT)
     task.consume_update()
     for _ in range(3):

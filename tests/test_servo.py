@@ -31,7 +31,7 @@ class FrozenInterface:
 
 
 def build_pend(single_threaded=None, interface=None, hooks=None,
-               worker_delay=None, frequency=None):
+               worker_delay=None, frequency=None, udp_port=None):
     text = fixtures.read_config("pend1_posture")
     if frequency is not None:
         text = text.replace("servo_frequency: 1000",
@@ -42,7 +42,7 @@ def build_pend(single_threaded=None, interface=None, hooks=None,
     description = load_description(fixtures.read_robot("pend1"))
     return AssembledController(description, spec, interface=interface,
                                single_threaded=single_threaded, hooks=hooks,
-                               worker_delay=worker_delay)
+                               worker_delay=worker_delay, udp_port=udp_port)
 
 
 def build_dreamer(config="dreamer22_posture", **kwargs):
@@ -108,6 +108,24 @@ def test_multi_threaded_first_cycle_fresh_model():
             <= ctl.runtime.period + 1e-12
 
 
+THREAD_NAMES = ("model-updater", "task-updater", "publisher", "udp-transport")
+
+
+def test_close_stops_every_thread():
+    before = set(threading.enumerate())
+    ctl = build_pend(udp_port=0)
+    with ctl:
+        ctl.start()
+        ctl.run(cycles=5)
+        started = [t for t in threading.enumerate() if t not in before]
+        names = sorted(t.name for t in started)
+        assert names.count("model-updater") == 1
+        assert names.count("task-updater") == 1
+        assert set(names) == set(THREAD_NAMES)
+    alive = [t.name for t in started if t.is_alive()]
+    assert alive == []
+
+
 def test_missing_robot_description_fails_before_start(tmp_path):
     from wbosc.assembly import build_from_files
     with pytest.raises(FileNotFoundError):
@@ -169,10 +187,10 @@ def test_staleness_bound_under_lockstep():
 
 class StarvationOrchestrator:
     """Reproduces the lost-update interleaving deterministically: the task
-    worker completes every task after the servo's first scan has already
-    passed task 0 but before the idle check; if the worker is then
-    re-triggered before task 0 is consumed, its next round overwrites the
-    pending update (the loss the second scan exists to prevent)."""
+    worker completes every task after the servo's scan has already passed
+    task 0; if the worker is then re-triggered before task 0 is consumed,
+    its next round overwrites the pending update (the loss that reading the
+    worker's idle state before the scan, not after it, prevents)."""
 
     def __init__(self):
         self.gate = threading.Event()
@@ -183,7 +201,7 @@ class StarvationOrchestrator:
     def task_worker_gate(self):
         self.gate.wait(timeout=5.0)
 
-    def first_scan_step(self, index):
+    def scan_step(self, index):
         if not self.armed or index != 0 or self.engaged:
             return
         self.engaged = True
@@ -198,20 +216,20 @@ class StarvationOrchestrator:
 
     def _wait_worker_idle(self):
         deadline = time.monotonic() + 5.0
-        while self.runtime.task_worker.busy and time.monotonic() < deadline:
+        while not self.runtime.task_worker.idle() \
+                and time.monotonic() < deadline:
             time.sleep(1e-4)
 
 
-def run_starvation_cycle(second_scan_enabled):
+def run_starvation_cycle():
     orch = StarvationOrchestrator()
     hooks = ServoHooks(task_worker_gate=orch.task_worker_gate,
-                       first_scan_step=orch.first_scan_step,
+                       scan_step=orch.scan_step,
                        after_task_trigger=orch.after_task_trigger)
     ctl = build_dreamer(config="dreamer22_disassembly", hooks=hooks)
     with ctl:
         ctl.start()
         runtime = ctl.runtime
-        runtime._second_scan_enabled = second_scan_enabled
         orch.runtime = runtime
         # cycle 1: stage joint state; wait for the fresh inactive model
         runtime.servo_update()
@@ -224,7 +242,7 @@ def run_starvation_cycle(second_scan_enabled):
         # kicks off another model update
         runtime.servo_update()
         ctl.clock.tick()
-        assert runtime.task_worker.busy
+        assert not runtime.task_worker.idle()
         # wait for that model update to complete so the guard is free and a
         # swap (hence a task-worker re-trigger) is available inside cycle 3;
         # if the swap already landed in cycle 2, the deferred trigger is set
@@ -233,8 +251,9 @@ def run_starvation_cycle(second_scan_enabled):
                    or runtime._task_trigger_pending) \
                 and time.monotonic() < deadline:
             time.sleep(1e-4)
-        # cycle 3: the orchestrated interleaving; without the second scan the
-        # worker's next round overwrites task 0's unconsumed update
+        # cycle 3: the orchestrated interleaving; a trigger decided by an
+        # idle reading taken after the scan would let the worker's next
+        # round overwrite task 0's unconsumed update
         orch.armed = True
         result = runtime.servo_update()
         ctl.clock.tick()
@@ -242,22 +261,18 @@ def run_starvation_cycle(second_scan_enabled):
         # settle: let any re-triggered round finish and be consumed
         for _ in range(5):
             deadline = time.monotonic() + 5.0
-            while runtime.task_worker.busy and time.monotonic() < deadline:
+            while not runtime.task_worker.idle() \
+                    and time.monotonic() < deadline:
                 time.sleep(1e-4)
             runtime.servo_update()
             ctl.clock.tick()
         return consumed_in_cycle, runtime.stats.lost_task_updates
 
 
-def test_starvation_second_scan_recovers_all_updates():
-    consumed, lost = run_starvation_cycle(second_scan_enabled=True)
+def test_starvation_recovers_all_updates():
+    consumed, lost = run_starvation_cycle()
     assert consumed >= 5   # all five first-round updates seen in the cycle
     assert lost == 0
-
-
-def test_starvation_without_second_scan_loses_an_update():
-    _, lost = run_starvation_cycle(second_scan_enabled=False)
-    assert lost >= 1
 
 
 # -- multi/single equivalence ----------------------------------------------------------
@@ -415,3 +430,76 @@ def test_nan_task_suppressed_every_cycle_and_last_command_held():
             assert np.array_equal(iface.last_effort, good)
             time.sleep(1e-4)
         assert ctl.runtime.stats.suppressed_commands >= 51
+
+
+# -- worker failures ---------------------------------------------------------------
+
+def run_until_error(ctl, errors, prefix, cycles=2000):
+    for _ in range(cycles):
+        ctl.runtime.servo_update()
+        ctl.clock.tick()
+        ctl.flush()
+        if any(e.startswith(prefix) for e in errors):
+            return True
+        time.sleep(1e-4)
+    return False
+
+
+def test_task_update_failure_publishes_and_worker_keeps_running():
+    iface = FrozenInterface(1, position=[0.2])
+    ctl = build_pend(interface=iface)
+    errors = []
+    with ctl:
+        ctl.start()
+        ctl.bus.subscribe("pend/diagnostics/errors", errors.append)
+        ctl.run(cycles=5)
+        assert ctl.runtime.wait_idle()
+        ctl.run(cycles=1)
+        good = iface.last_effort.copy()
+
+        def broken(model, state, dt):
+            raise RuntimeError("sensor frame missing")
+
+        ctl.compound.task("posture")._compute = broken
+        ctl.bus.publish("goals/posture", np.array([0.6]))
+        assert run_until_error(ctl, errors, "task 'posture' update failed")
+        assert "task 'posture' update failed: sensor frame missing" in errors
+        rounds = ctl.runtime.task_worker.rounds
+        ctl.bus.publish("goals/posture", np.array([0.7]))
+        for _ in range(2000):
+            ctl.runtime.servo_update()
+            ctl.clock.tick()
+            if ctl.runtime.task_worker.rounds > rounds:
+                break
+            time.sleep(1e-4)
+        assert ctl.runtime.task_worker.rounds > rounds
+        assert np.array_equal(iface.last_effort, good)
+
+
+def test_model_update_failure_publishes_and_swaps_nothing():
+    ctl = build_pend(interface=FrozenInterface(1, position=[0.2]))
+    errors = []
+    with ctl:
+        ctl.start()
+        ctl.bus.subscribe("pend/diagnostics/errors", errors.append)
+        ctl.run(cycles=5)
+
+        def broken(q_act, qd_act, stamp):
+            raise RuntimeError("joint state out of range")
+
+        for servo_model in (ctl.runtime.buffers.active,
+                            ctl.runtime.buffers.inactive):
+            servo_model.update = broken
+        # a round that began before the break may still land once
+        assert ctl.runtime.wait_idle()
+        ctl.run(cycles=1)
+        swaps = ctl.runtime.stats.model_swaps
+        rounds = ctl.runtime.model_worker.rounds
+        assert run_until_error(ctl, errors, "model update failed")
+        assert "model update failed: joint state out of range" in errors
+        ctl.run(cycles=50)
+        assert ctl.runtime.wait_idle()
+        ctl.run(cycles=1)
+        assert ctl.runtime.stats.model_swaps == swaps
+        assert not ctl.runtime.buffers.update_ready
+        assert ctl.runtime.model_worker.rounds > rounds

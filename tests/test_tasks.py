@@ -3,6 +3,7 @@ import pytest
 
 from conftest import assert_jacobian_close, fd_jacobian
 from wbosc.geometry import axis_angle_matrix, quat_from_matrix
+from wbosc.params import ParameterKind, ParameterRegistry
 from wbosc.tasks import (CartesianPositionTask, CompoundTask, ComTask,
                          JointPositionTask, Orientation2DTask,
                          Orientation3DTask, PIDController, PIDGains, TaskError)
@@ -85,7 +86,7 @@ def test_cartesian_zero_at_goal(make_model):
     model = make_model("pend1")
     task = CartesianPositionTask("tip", model, PIDGains(3, kp=64.0, kd=3.0),
                                  link="arm", control_point=[1.0, 0.0, 0.0])
-    task._goal_position = task.current_position(model).copy()
+    task.goals["goalPosition"] = task.current_position(model).copy()
     state = updated(task, model)
     assert np.abs(state.command).max() < 1e-12
 
@@ -94,7 +95,8 @@ def test_cartesian_gain_arithmetic(make_model):
     model = make_model("pend1")
     task = CartesianPositionTask("tip", model, PIDGains(3, kp=64.0, kd=3.0),
                                  link="arm", control_point=[1.0, 0.0, 0.0])
-    task._goal_position = task.current_position(model) + [0.0, 0.0, 0.1]
+    task.goals["goalPosition"] = (task.current_position(model)
+                                  + [0.0, 0.0, 0.1])
     state = updated(task, model)
     assert np.allclose(state.command, [0.0, 0.0, 6.4], atol=1e-12)
 
@@ -147,7 +149,7 @@ def test_orientation3d_nonunit_goal_rejected(make_model):
     task = Orientation3DTask("wrist", model, PIDGains(3, kp=1.0),
                              link="right_hand",
                              goal_orientation=[1.0, 0.0, 0.0, 0.0])
-    task._goal_orientation = np.array([1.0, 0.1, 0.0, 0.0])
+    task.goals["goalOrientation"] = np.array([1.0, 0.1, 0.0, 0.0])
     with pytest.raises(TaskError, match="unit"):
         task.update(model, DT)
 
@@ -159,7 +161,7 @@ def test_orientation2d_zero_when_aligned(make_model):
     h = Orientation2DTask("head", model, PIDGains(2, kp=1.0),
                           link="right_hand", body_vector=[0, 0, 1],
                           goal_vector=[0, 0, 1])
-    h._goal_vector = h.heading(model).copy()
+    h.goals["goalVector"] = h.heading(model).copy()
     state = updated(h, model)
     assert np.abs(state.error).max() < 1e-9
 
@@ -298,3 +300,81 @@ def test_row_count_matches_enabled_dimensions(make_model):
         J, x = compound.aggregate_level(level)
         expected = sum(t.dimension for t in compound.enabled_at(level))
         assert J.shape[0] == expected == x.shape[0]
+
+
+# -- goals through the registry ---------------------------------------------------
+
+def _turned_quaternion(model):
+    R = model.link_transform("right_hand")[:3, :3]
+    return quat_from_matrix(
+        axis_angle_matrix(np.array([0.0, 1.0, 0.0]), 0.3) @ R)
+
+
+# per task type: robot, constructor, and each goal parameter with the
+# constructor keyword that takes it (None: the goal store at construction)
+# and a goal value that changes the update
+GOAL_CASES = {
+    "JointPositionTask": ("planar2", lambda m, **kw: JointPositionTask(
+        "t", m, PIDGains(2, kp=50.0, kd=3.0), **kw), {
+        "goalPosition": ("goal_position", lambda m: [0.4, -0.3]),
+        "goalVelocity": ("goal_velocity", lambda m: [0.2, 0.1]),
+        "goalAcceleration": ("goal_acceleration", lambda m: [1.0, -2.0])}),
+    "CartesianPositionTask": ("pend1", lambda m, **kw: CartesianPositionTask(
+        "t", m, PIDGains(3, kp=50.0, kd=3.0), link="arm",
+        control_point=[1.0, 0.0, 0.0], **kw), {
+        "goalPosition": ("goal_position", lambda m: [0.5, 0.1, 0.3]),
+        "goalVelocity": (None, lambda m: [0.1, 0.0, 0.2]),
+        "goalAcceleration": (None, lambda m: [0.0, 0.3, 1.0])}),
+    "Orientation3DTask": ("dreamer22", lambda m, **kw: Orientation3DTask(
+        "t", m, PIDGains(3, kp=50.0, kd=3.0), link="right_hand", **kw), {
+        "goalOrientation": ("goal_orientation", _turned_quaternion),
+        "goalAngularVelocity": (None, lambda m: [0.1, 0.2, 0.3])}),
+    "Orientation2DTask": ("pend1", lambda m, **kw: Orientation2DTask(
+        "t", m, PIDGains(2, kp=50.0, kd=3.0), link="arm",
+        body_vector=[1, 0, 0], **kw), {
+        "goalVector": ("goal_vector", lambda m: [0.0, 1.0, 0.0])}),
+    "COMTask": ("planar2", lambda m, **kw: ComTask(
+        "t", m, PIDGains(3, kp=50.0, kd=3.0), **kw), {
+        "goalPosition": ("goal_position", lambda m: [0.1, 0.2, 0.3])}),
+}
+
+BASE_PARAMETERS = {"enabled", "kp", "ki", "kd", "error"}
+
+
+@pytest.mark.parametrize("type_name", sorted(GOAL_CASES))
+def test_registry_goal_matches_constructor_goal(make_model, type_name):
+    robot, build, goals = GOAL_CASES[type_name]
+    model = make_model(robot, q=[0.3, -0.2] if robot == "planar2" else None)
+    for name, (keyword, make_goal) in goals.items():
+        goal = np.asarray(make_goal(model), dtype=float)
+        if keyword is None:
+            reference = build(model)
+            reference.goals[name] = goal
+        else:
+            reference = build(model, **{keyword: goal})
+        expected = updated(reference, model)
+
+        task = build(model)
+        registry = ParameterRegistry()
+        task.declare_parameters(registry)
+        before = updated(task, model).command.copy()
+        registry.require(f"t.{name}").set(goal)
+        state = updated(task, model)
+        assert not np.array_equal(state.command, before), name
+        assert np.array_equal(state.command, expected.command), name
+        assert np.array_equal(state.error, expected.error), name
+
+
+@pytest.mark.parametrize("type_name", sorted(GOAL_CASES))
+def test_declared_parameter_names_per_type(make_model, type_name):
+    robot, build, goals = GOAL_CASES[type_name]
+    task = build(make_model(robot))
+    registry = ParameterRegistry()
+    task.declare_parameters(registry)
+    extra = {"currentAcceleration"} if type_name == "JointPositionTask" \
+        else set()
+    assert set(registry.names()) == {
+        f"t.{n}" for n in BASE_PARAMETERS | set(goals) | extra}
+    for name in goals:
+        param = registry.require(f"t.{name}")
+        assert param.kind is ParameterKind.VECTOR and param.writable
