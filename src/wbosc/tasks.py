@@ -15,7 +15,8 @@ Each task keeps its goals in one store, ``Task.goals``: a dict from the goal
 parameter name to its vector, filled by the constructor.  Declaring the
 parameters declares every entry as a VECTOR parameter whose setter replaces
 the entry, so a goal set through the registry and a goal written into
-``goals`` reach the next update the same way.
+``goals`` reach the next update the same way; only the registry path also
+updates the parameter's value.
 """
 
 from functools import partial
