@@ -12,7 +12,8 @@ import numpy as np
 from .config import load_config_file
 from .constraints import (CoactuationConstraint, ConstraintSet,
                           FlatContactConstraint, PointContactConstraint)
-from .controller import CONTROLLER_TYPES, LimitFlags, Wbosc, WboscImpedance
+from .controller import (CONTROLLER_TYPES, JointLimits, LimitFlags, Wbosc,
+                         WboscImpedance)
 from .description import load_description_file
 from .model import RobotModel
 from .params import ParameterRegistry
@@ -218,11 +219,14 @@ class AssembledController:
         else:
             self.wbc = Wbosc(models[0].n_dofs, models[0].n_joints,
                              gravity_mask=mask)
-        self.limit_flags = LimitFlags(
-            effort=fw.enforce_effort_limits,
-            position=fw.enforce_position_limits,
-            velocity=fw.enforce_velocity_limits,
-            max_effort_command=fw.max_effort_command)
+        try:
+            self.limits = JointLimits(self.description, names, LimitFlags(
+                effort=fw.enforce_effort_limits,
+                position=fw.enforce_position_limits,
+                velocity=fw.enforce_velocity_limits,
+                max_effort_command=fw.max_effort_command))
+        except ValueError as exc:
+            raise AssemblyError(f"controlit: {exc}") from None
 
         # transports come first: the udp-remote interface rides the transport
         self.udp = None
@@ -262,14 +266,13 @@ class AssembledController:
                 self.udp.register_input(
                     name, lambda v, n=name: self.registry.stage_input(n, v))
 
-        def publish(topic, value):
-            self.publisher.enqueue(self.bus.publish, topic, value)
+        def publish(topics, values):
+            self.publisher.enqueue(self.bus.publish_each, topics, values)
 
         self.runtime = ServoRuntime(
             self.name, self.model_pair, self.compound, self.wbc,
             self.interface, self.clock, registry=self.registry,
-            publish=publish, limit_flags=self.limit_flags,
-            description=self.description,
+            publish=publish, limits=self.limits,
             single_threaded_model=single_model,
             single_threaded_tasks=single_tasks,
             hooks=hooks, worker_delay=worker_delay, history=history)

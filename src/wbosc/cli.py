@@ -10,6 +10,7 @@ import yaml
 from .assembly import AssemblyError, ServiceError, build_from_files
 from .config import ConfigError
 from .description import DescriptionError
+from .servo import CYCLE_DIAGNOSTICS
 from .spline import SplineError, TrajectorySpline
 from .transports import TransportError, UdpTransport
 
@@ -17,9 +18,7 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-DIAGNOSTIC_TOPICS = ("servoFrequency", "servoComputeLatency", "modelLatency",
-                     "command", "jointState", "gravityVector", "errors",
-                     "warnings")
+DIAGNOSTIC_TOPICS = CYCLE_DIAGNOSTICS + ("errors", "warnings")
 
 
 def main(argv=None):

@@ -398,56 +398,100 @@ def constrained_joint_accel(model, constraint_set, effort):
     return E @ np.linalg.solve(M, rhs)
 
 
-def enforce_limits(command, description, joint_names, flags, warn=None):
-    """Truncate command entries to the description limits per the flags.
+class JointLimits:
+    """The description's limits under the enforcement flags, as per-joint
+    arrays built once.  A joint that does not enforce a class, or has no
+    limit of that class, gets an infinite bound; a class that no joint
+    enforces is None.  Raises ValueError naming the configuration key when a
+    per-joint list has the wrong length."""
 
-    Every truncation emits one warning naming the joint.  The
-    max_effort_command threshold never truncates, it only warns.
+    def __init__(self, description, joint_names, flags):
+        n = len(joint_names)
+        self.joints = [description.joint(name) for name in joint_names]
+        self.none_over = np.zeros(n, bool)
+
+        def enforced(flag, key, limit):
+            on = _flag_mask(flag, n, key)
+            return [getattr(j, limit) if o else None
+                    for j, o in zip(self.joints, on)]
+
+        self.effort = _bounds(enforced(flags.effort, "enforce_effort_limits",
+                                       "effort_limit"), np.inf)
+        self.velocity = _bounds(enforced(flags.velocity,
+                                         "enforce_velocity_limits",
+                                         "velocity_limit"), np.inf)
+        position = enforced(flags.position, "enforce_position_limits",
+                            "position_limits")
+        self.position = None
+        if any(p is not None for p in position):
+            self.position = (np.array([p is not None for p in position]),
+                             _bounds([p and p[0] for p in position], -np.inf),
+                             _bounds([p and p[1] for p in position], np.inf))
+        self.max_effort = None
+        if flags.max_effort_command is not None:
+            max_cmd = np.asarray(flags.max_effort_command, dtype=float)
+            if max_cmd.ndim and max_cmd.shape != (n,):
+                raise ValueError(f"max_effort_command lists {max_cmd.size} "
+                                 f"values for {n} joints")
+            self.max_effort = np.broadcast_to(max_cmd, (n,)).copy()
+
+
+def _bounds(values, missing):
+    """Array of the given bounds with ``missing`` for None; None if all are."""
+    if all(v is None for v in values):
+        return None
+    return np.array([missing if v is None else v for v in values], float)
+
+
+def enforce_limits(command, limits):
+    """Truncate command entries to ``limits`` (a JointLimits).
+
+    Every truncation emits one warning naming the joint, joint by joint in
+    order.  The max_effort_command threshold never truncates, it only warns.
+    Returns (command, warnings).
     """
+    eff_over = pos_over = vel_over = max_over = limits.none_over
+    # bounds are infinite where a joint enforces nothing, so clipping every
+    # entry changes exactly the ones over their limit
+    if limits.effort is not None:
+        eff_over = np.abs(command.effort) > limits.effort
+        np.clip(command.effort, -limits.effort, limits.effort,
+                out=command.effort)
+    if limits.position is not None:
+        mask, lo, hi = limits.position
+        pos_over = mask & ~((lo <= command.position)
+                            & (command.position <= hi))
+        np.clip(command.position, lo, hi, out=command.position)
+    if limits.velocity is not None:
+        vel_over = np.abs(command.velocity) > limits.velocity
+        np.clip(command.velocity, -limits.velocity, limits.velocity,
+                out=command.velocity)
+    if limits.max_effort is not None:
+        max_over = np.abs(command.effort) > limits.max_effort
     warnings = []
-
-    def _warn(text):
-        warnings.append(text)
-        if warn is not None:
-            warn(text)
-
-    eff_mask = _flag_mask(flags.effort, len(joint_names))
-    pos_mask = _flag_mask(flags.position, len(joint_names))
-    vel_mask = _flag_mask(flags.velocity, len(joint_names))
-    max_cmd = flags.max_effort_command
-    if max_cmd is not None:
-        max_cmd = np.broadcast_to(np.asarray(max_cmd, dtype=float),
-                                  (len(joint_names),))
-
-    for i, name in enumerate(joint_names):
-        joint = description.joint(name)
-        if eff_mask[i] and joint.effort_limit is not None:
-            lim = joint.effort_limit
-            if abs(command.effort[i]) > lim:
-                _warn(f"effort command for joint {name!r} truncated to {lim}")
-                command.effort[i] = np.clip(command.effort[i], -lim, lim)
-        if pos_mask[i] and joint.position_limits is not None:
-            lo, hi = joint.position_limits
-            if not lo <= command.position[i] <= hi:
-                _warn(f"position command for joint {name!r} truncated")
-                command.position[i] = np.clip(command.position[i], lo, hi)
-        if vel_mask[i] and joint.velocity_limit is not None:
-            lim = joint.velocity_limit
-            if abs(command.velocity[i]) > lim:
-                _warn(f"velocity command for joint {name!r} truncated to {lim}")
-                command.velocity[i] = np.clip(command.velocity[i], -lim, lim)
-        if max_cmd is not None and abs(command.effort[i]) > max_cmd[i]:
-            _warn(f"effort command for joint {name!r} exceeds "
-                  f"max_effort_command {max_cmd[i]}")
+    for i in np.flatnonzero(eff_over | pos_over | vel_over | max_over):
+        joint = limits.joints[i]
+        name = joint.name
+        if eff_over[i]:
+            warnings.append(f"effort command for joint {name!r} truncated to "
+                            f"{joint.effort_limit}")
+        if pos_over[i]:
+            warnings.append(f"position command for joint {name!r} truncated")
+        if vel_over[i]:
+            warnings.append(f"velocity command for joint {name!r} truncated "
+                            f"to {joint.velocity_limit}")
+        if max_over[i]:
+            warnings.append(f"effort command for joint {name!r} exceeds "
+                            f"max_effort_command {limits.max_effort[i]}")
     return command, warnings
 
 
-def _flag_mask(flag, n):
+def _flag_mask(flag, n, key):
     if isinstance(flag, (bool, np.bool_)):
         return np.full(n, bool(flag))
     mask = np.asarray(flag, dtype=bool)
     if mask.shape != (n,):
-        raise ValueError(f"per-joint flag length {mask.shape} != {n}")
+        raise ValueError(f"{key} lists {mask.size} values for {n} joints")
     return mask
 
 

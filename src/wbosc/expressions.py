@@ -16,6 +16,8 @@ vector parameter values are legal only as the argument of norm().
 Offsets in error messages are 1-based.
 """
 
+import math
+
 import numpy as np
 
 _COMPARATORS = ("<=", ">=", "==", "!=", "<", ">")
@@ -210,7 +212,7 @@ class _Parser:
                 arg = self._or()
                 self._expect_op(")")
                 if val == "norm":
-                    return lambda r: float(np.linalg.norm(np.atleast_1d(arg(r))))
+                    return lambda r: _norm(arg(r))
                 return lambda r: abs(_as_number(arg(r)))
             self.variables.add(val)
             return _make_lookup(val)
@@ -265,6 +267,14 @@ def _make_compare(op, a, b):
 
 def _make_arith(fn, a, b):
     return lambda r: float(fn(_as_number(a(r)), _as_number(b(r))))
+
+
+def _norm(value):
+    """Euclidean norm, bit-identical to np.linalg.norm.  The 1-D ``@``
+    keeps the GIL, where np.linalg.norm and np.dot release it through BLAS
+    and so hand the servo thread's time slice to a worker."""
+    v = np.asarray(value, dtype=float).ravel()
+    return math.sqrt(float(v @ v))
 
 
 def _as_number(value):

@@ -12,8 +12,9 @@ Wire format (little-endian), shared by publishes and services:
 
 Publishing is offloaded from the servo executor through a bounded queue
 drained by a publisher worker thread; on overflow the oldest entry is
-dropped and counted.  Output bindings rate-limit at enqueue time against
-the runtime clock.
+dropped and counted, and so is a dropped output-binding value, on its
+binding.  Output bindings rate-limit at enqueue time against the runtime
+clock.
 """
 
 import csv
@@ -131,14 +132,20 @@ class IntraBus:
         for cb in callbacks:
             cb(value)
 
+    def publish_each(self, topics, values):
+        """Publish values[i] on topics[i], in order."""
+        for topic, value in zip(topics, values):
+            self.publish(topic, value)
+
 
 # -- publisher offload ----------------------------------------------------------------
 
 class PublisherWorker:
     """Bounded publish queue drained off the servo context.
 
-    Overflow drops the oldest entry and counts the drop; enqueue never
-    blocks.  flush() is for tests and orderly shutdown only: it returns once
+    Overflow drops the oldest entry and counts the drop, in ``drops`` and,
+    when the entry was enqueued with an owner, in that owner's ``dropped``;
+    enqueue never blocks.  flush() is for tests and orderly shutdown only: it returns once
     the queue is empty and the entry the drain loop last took out has been
     delivered.
     """
@@ -155,12 +162,14 @@ class PublisherWorker:
                                         name="publisher")
         self._thread.start()
 
-    def enqueue(self, sink, topic, value):
+    def enqueue(self, sink, topic, value, owner=None):
         with self._lock:
             if len(self._queue) >= self.maxlen:
-                self._queue.popleft()
+                dropped_owner = self._queue.popleft()[3]
                 self.drops += 1
-            self._queue.append((sink, topic, value))
+                if dropped_owner is not None:
+                    dropped_owner.dropped += 1
+            self._queue.append((sink, topic, value, owner))
         self._wake.set()
 
     def _run(self):
@@ -173,7 +182,7 @@ class PublisherWorker:
                         self._wake.clear()
                         self._delivering = False
                         break
-                    sink, topic, value = self._queue.popleft()
+                    sink, topic, value, _ = self._queue.popleft()
                     self._delivering = True
                 try:
                     sink(topic, value)
@@ -228,7 +237,10 @@ class BindingConfig:
 
 
 class OutputBinding:
-    """Attached to a parameter; offer() applies the rate limit and enqueues."""
+    """Attached to a parameter; offer() applies the rate limit and enqueues.
+
+    Every value counted in ``published`` is delivered to the sink or, when
+    the publisher's queue overflows, counted in ``dropped``."""
 
     def __init__(self, config, sink, publisher, clock=time.monotonic):
         self.config = config
@@ -240,6 +252,7 @@ class OutputBinding:
                               else 1.0 / config.publish_rate)
         self._last_publish = None
         self.published = 0
+        self.dropped = 0
         self.rate_limited = 0
 
     def offer(self, value):
@@ -254,7 +267,7 @@ class OutputBinding:
         if self._publisher is None:
             self._sink(self.topic, value)
         else:
-            self._publisher.enqueue(self._sink, self.topic, value)
+            self._publisher.enqueue(self._sink, self.topic, value, self)
         return True
 
     def close(self):

@@ -237,3 +237,20 @@ def test_floating_base_without_weld_rejected():
     description = load_description(fixtures.read_robot("dreamer22"))
     with pytest.raises(AssemblyError, match="flat contact"):
         AssembledController(description, spec, single_threaded=True)
+
+
+@pytest.mark.parametrize("line, key", [
+    ("enforce_effort_limits: [true, false]", "enforce_effort_limits"),
+    ("enforce_velocity_limits: [true, true, true]", "enforce_velocity_limits"),
+    ("max_effort_command: [10.0, 20.0]", "max_effort_command"),
+])
+def test_wrong_length_limit_list_rejected_at_build(line, key):
+    from wbosc.assembly import AssembledController, AssemblyError
+    from wbosc.description import load_description
+    text = fixtures.read_config("pend1_posture").replace(
+        "controlit:\n", f"controlit:\n  {line}\n")
+    spec = load_config(text)
+    description = load_description(fixtures.read_robot("pend1"))
+    with pytest.raises(AssemblyError, match=f"{key} lists .* values for 1 "
+                                            f"joints"):
+        AssembledController(description, spec, single_threaded=True)

@@ -7,8 +7,8 @@ from conftest import random_configuration
 from test_tasks import build_disassembly_compound, update_all
 from wbosc.constraints import (CoactuationConstraint, ConstraintSet,
                                FlatContactConstraint)
-from wbosc.controller import (Command, CommandError, LimitFlags, Wbosc,
-                              WboscImpedance, constrained_joint_accel,
+from wbosc.controller import (Command, CommandError, JointLimits, LimitFlags,
+                              Wbosc, WboscImpedance, constrained_joint_accel,
                               enforce_limits)
 from wbosc.description import load_description
 from wbosc.linalg import DEFAULT_TOLERANCE, gram_pinv
@@ -494,8 +494,8 @@ def test_effort_truncation(make_model, descriptions):
     model = make_model("pend1")
     cmd = Command.zeros(1)
     cmd.effort[0] = 100.0
-    out, warnings = enforce_limits(cmd, descriptions["pend1"], ["shoulder"],
-                                   LimitFlags(effort=True))
+    out, warnings = enforce_limits(cmd, JointLimits(
+        descriptions["pend1"], ["shoulder"], LimitFlags(effort=True)))
     assert out.effort[0] == 40.0
     assert len(warnings) == 1 and "shoulder" in warnings[0]
 
@@ -503,9 +503,9 @@ def test_effort_truncation(make_model, descriptions):
 def test_within_limits_identity(make_model, descriptions):
     cmd = Command.zeros(1)
     cmd.effort[0] = 10.0
-    out, warnings = enforce_limits(cmd, descriptions["pend1"], ["shoulder"],
-                                   LimitFlags(effort=True, position=True,
-                                              velocity=True))
+    out, warnings = enforce_limits(cmd, JointLimits(
+        descriptions["pend1"], ["shoulder"],
+        LimitFlags(effort=True, position=True, velocity=True)))
     assert out.effort[0] == 10.0
     assert warnings == []
 
@@ -513,8 +513,92 @@ def test_within_limits_identity(make_model, descriptions):
 def test_disabled_enforcement_warns_only_on_max_effort(descriptions):
     cmd = Command.zeros(1)
     cmd.effort[0] = 100.0
-    out, warnings = enforce_limits(
-        cmd, descriptions["pend1"], ["shoulder"],
-        LimitFlags(effort=False, max_effort_command=50.0))
+    out, warnings = enforce_limits(cmd, JointLimits(
+        descriptions["pend1"], ["shoulder"],
+        LimitFlags(effort=False, max_effort_command=50.0)))
     assert out.effort[0] == 100.0   # no truncation
     assert len(warnings) == 1 and "max_effort_command" in warnings[0]
+
+
+def enforce_limits_by_joint(command, description, joint_names, flags):
+    """The per-joint loop that enforce_limits replaced, kept as reference."""
+    n = len(joint_names)
+
+    def mask(flag):
+        return np.full(n, bool(flag)) if isinstance(flag, bool) \
+            else np.asarray(flag, dtype=bool)
+
+    eff_mask, pos_mask, vel_mask = (mask(flags.effort), mask(flags.position),
+                                    mask(flags.velocity))
+    max_cmd = flags.max_effort_command
+    if max_cmd is not None:
+        max_cmd = np.broadcast_to(np.asarray(max_cmd, dtype=float), (n,))
+    warnings = []
+    for i, name in enumerate(joint_names):
+        joint = description.joint(name)
+        if eff_mask[i] and joint.effort_limit is not None:
+            lim = joint.effort_limit
+            if abs(command.effort[i]) > lim:
+                warnings.append(
+                    f"effort command for joint {name!r} truncated to {lim}")
+                command.effort[i] = np.clip(command.effort[i], -lim, lim)
+        if pos_mask[i] and joint.position_limits is not None:
+            lo, hi = joint.position_limits
+            if not lo <= command.position[i] <= hi:
+                warnings.append(
+                    f"position command for joint {name!r} truncated")
+                command.position[i] = np.clip(command.position[i], lo, hi)
+        if vel_mask[i] and joint.velocity_limit is not None:
+            lim = joint.velocity_limit
+            if abs(command.velocity[i]) > lim:
+                warnings.append(
+                    f"velocity command for joint {name!r} truncated to {lim}")
+                command.velocity[i] = np.clip(command.velocity[i], -lim, lim)
+        if max_cmd is not None and abs(command.effort[i]) > max_cmd[i]:
+            warnings.append(f"effort command for joint {name!r} exceeds "
+                            f"max_effort_command {max_cmd[i]}")
+    return command, warnings
+
+
+def test_enforce_limits_matches_the_joint_loop(descriptions):
+    description = descriptions["dreamer22"]
+    names = description.real_joint_names
+    n = len(names)
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        def flag():
+            return bool(rng.integers(2)) if rng.integers(2) \
+                else list(rng.integers(2, size=n).astype(bool))
+        max_cmd = (None, float(rng.uniform(5, 60)),
+                   list(rng.uniform(5, 60, n)))[trial % 3]
+        flags = LimitFlags(effort=flag(), position=flag(), velocity=flag(),
+                           max_effort_command=max_cmd)
+        cmd = Command.zeros(n)
+        cmd.effort[:] = rng.uniform(-150, 150, n)
+        cmd.position[:] = rng.uniform(-4, 4, n)
+        cmd.velocity[:] = rng.uniform(-15, 15, n)
+        for array in (cmd.effort, cmd.position, cmd.velocity):
+            array[rng.integers(n)] = (np.nan, np.inf, -np.inf)[trial % 3]
+        expected, expected_warnings = enforce_limits_by_joint(
+            cmd.copy(), description, names, flags)
+        out, warnings = enforce_limits(cmd, JointLimits(description, names,
+                                                        flags))
+        assert warnings == expected_warnings
+        for got, want in ((out.effort, expected.effort),
+                          (out.position, expected.position),
+                          (out.velocity, expected.velocity)):
+            np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(out.effort),
+                              np.signbit(expected.effort))
+
+
+@pytest.mark.parametrize("flags, key", [
+    (LimitFlags(effort=[True, False]), "enforce_effort_limits"),
+    (LimitFlags(position=[True, False, True]), "enforce_position_limits"),
+    (LimitFlags(velocity=[]), "enforce_velocity_limits"),
+    (LimitFlags(max_effort_command=[1.0, 2.0]), "max_effort_command"),
+])
+def test_joint_limits_reject_a_wrong_length_list(descriptions, flags, key):
+    with pytest.raises(ValueError, match=f"{key} lists .* values for 1 "
+                                         f"joints"):
+        JointLimits(descriptions["pend1"], ["shoulder"], flags)

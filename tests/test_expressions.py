@@ -84,3 +84,45 @@ def test_matches_python_semantics(a, b, c):
             assert got == expected
         else:
             assert got == pytest.approx(float(expected))
+
+
+# -- norm() ---------------------------------------------------------------------------
+
+def norm_of(value):
+    return parse_expression("norm(v)").eval(resolver_from({"v": value}))
+
+
+def test_norm_is_bit_identical_to_numpy():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        n = int(rng.integers(1, 101))
+        scale = 10.0 ** rng.uniform(-5, 5)
+        v = rng.standard_normal(n) * scale
+        assert norm_of(v) == float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        for value in (np.array([3, 4]), np.array([True, False, True]),
+                      [1, 2, 2], 2.5, -7, True, np.float64(-0.0),
+                      np.array([1e200, 1e200]), np.array([1e-200, 3e-200]),
+                      np.array([np.inf, 1.0]), np.array([-np.inf])):
+            assert norm_of(value) == float(
+                np.linalg.norm(np.atleast_1d(value)))
+    for value in (np.array([np.nan, 1.0]), np.array([np.inf, np.nan])):
+        assert np.isnan(norm_of(value))
+
+
+def test_norm_makes_no_gil_releasing_call(monkeypatch):
+    """np.linalg.norm and np.dot call BLAS with the GIL released; an event
+    evaluated on the servo thread must not hand the GIL away."""
+    calls = []
+    for owner, name in ((np.linalg, "norm"), (np, "dot")):
+        original = getattr(owner, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    expr = parse_expression("norm(a) > 0.002 && norm(b) > 1")
+    expr.eval(resolver_from({"a": np.array([0.3, 0.4, 0.0]),
+                             "b": np.array([2.0])}))
+    assert calls == []

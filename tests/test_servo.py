@@ -413,6 +413,73 @@ def test_reused_cycles_yield_to_a_running_worker(monkeypatch, ladder_calls):
             gate.set()
 
 
+GIL_RELEASING = ((np, "dot"), (np.linalg, "norm"), (np.linalg, "svd"),
+                 (np.linalg, "eigh"))
+
+
+def test_quiet_cycle_hands_the_gil_over_only_at_its_yield(monkeypatch,
+                                                          ladder_calls):
+    ctl, iface, gate = held_model_worker()
+    runtime = ctl.runtime
+    servo = threading.get_ident()
+    releasing = []
+    for owner, name in GIL_RELEASING:
+        original = getattr(owner, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            if threading.get_ident() == servo:
+                releasing.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    received = {topic: [] for topic in runtime._diagnostics_topics}
+    for topic, values in received.items():
+        ctl.bus.subscribe(topic, values.append)
+    with ctl:
+        try:
+            ctl.start()
+            ctl.run(cycles=1)       # stages a model round: the worker waits
+            assert ctl.publisher.flush()
+            for values in received.values():
+                del values[:]
+            del ladder_calls[:], releasing[:]
+            enqueued = []
+            enqueue = ctl.publisher.enqueue
+
+            def counting_enqueue(sink, topic, value, owner=None):
+                if threading.get_ident() == servo:
+                    enqueued.append(topic)
+                enqueue(sink, topic, value, owner)
+
+            monkeypatch.setattr(ctl.publisher, "enqueue", counting_enqueue)
+            yields = record_yields(monkeypatch)
+            expected = {topic: [] for topic in received}
+            cycles = 50
+            for k in range(1, cycles + 1):
+                result = runtime.servo_update()
+                idx = result.cycle % runtime._history_len
+                now = ctl.clock.now()
+                for topic, value in zip(runtime._diagnostics_topics, (
+                        runtime._frequency[idx], runtime._cycle_latency[idx],
+                        now - runtime.last_model_swap_time,
+                        runtime.active.model.G, iface.state.position,
+                        iface.last_effort)):
+                    expected[topic].append(value)
+                ctl.clock.tick()
+                assert not (result.consumed_updates or result.model_swapped)
+                assert len(yields) == len(enqueued) == k
+            assert ladder_calls == []       # every cycle reused the effort
+            assert releasing == []
+            assert enqueued == [runtime._diagnostics_topics] * cycles
+            assert ctl.publisher.flush()
+            for topic, values in received.items():
+                assert len(values) == cycles, topic
+                for got, want in zip(values, expected[topic]):
+                    np.testing.assert_array_equal(got, want)
+        finally:
+            gate.set()
+
+
 def test_nan_task_suppressed_every_cycle_and_last_command_held():
     iface = FrozenInterface(1, position=[0.2])
     ctl = build_pend(interface=iface)

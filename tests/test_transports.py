@@ -1,4 +1,5 @@
 import csv
+import threading
 import time
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from wbosc.params import ParameterKind, ParameterRegistry
 from wbosc.transports import (BindingConfig, BindingManager, FileBindingFactory,
-                              IntraBindingFactory, IntraBus, PublisherWorker,
+                              IntraBindingFactory, IntraBus, OutputBinding,
+                              PublisherWorker,
                               TransportError, UdpBindingFactory, UdpTransport,
                               decode_message, encode_message,
                               KIND_PUBLISH)
@@ -83,7 +85,38 @@ def test_publisher_overflow_drops_oldest_and_counts():
     for i in range(10):
         worker.enqueue(lambda t, v: None, "x", i)
     assert worker.drops == 6
-    assert [v for _, _, v in worker._queue] == [6, 7, 8, 9]
+    assert [v for _, _, v, _ in worker._queue] == [6, 7, 8, 9]
+
+
+def test_dropped_output_values_are_counted_on_their_binding():
+    worker = PublisherWorker(maxlen=4)
+    taken, release = threading.Event(), threading.Event()
+    delivered = []
+
+    def sink(topic, value):
+        taken.set()
+        release.wait(5.0)       # holds the drain loop on the first value
+        delivered.append(value)
+
+    binding = OutputBinding(BindingConfig("task.error", "output", "intra",
+                                          "errors"), sink, worker)
+    other = []
+    try:
+        binding.offer(0)
+        assert taken.wait(5.0)
+        for i in range(1, 10):
+            binding.offer(i)
+            # entries of other owners are counted by the worker only
+            worker.enqueue(lambda t, v: other.append(v), "other", i)
+        release.set()
+        assert worker.flush()
+    finally:
+        release.set()
+        worker.stop()
+    assert binding.published == 10
+    assert binding.dropped > 0
+    assert binding.published == len(delivered) + binding.dropped
+    assert worker.drops == binding.dropped + (9 - len(other))
 
 
 # -- bindings ------------------------------------------------------------------------
