@@ -145,10 +145,17 @@ class PublisherWorker:
 
     Overflow drops the oldest entry and counts the drop, in ``drops`` and,
     when the entry was enqueued with an owner, in that owner's ``dropped``;
-    enqueue never blocks.  flush() is for tests and orderly shutdown only: it returns once
-    the queue is empty and the entry the drain loop last took out has been
+    enqueue never blocks on a lock.  The drain thread needs the GIL, which
+    a servo thread that makes no blocking call never releases, so once more
+    than ``BEHIND`` entries wait, enqueue hands the GIL over with
+    ``time.sleep(0)``; the drain then catches up instead of falling behind
+    until it drops entries, and a sink sees no burst of hundreds of values.
+    flush() is for tests and orderly shutdown only: it returns once the
+    queue is empty and the entry the drain loop last took out has been
     delivered.
     """
+
+    BEHIND = 32
 
     def __init__(self, maxlen=1024):
         self._queue = deque()
@@ -170,7 +177,10 @@ class PublisherWorker:
                 if dropped_owner is not None:
                     dropped_owner.dropped += 1
             self._queue.append((sink, topic, value, owner))
+            behind = len(self._queue) > self.BEHIND
         self._wake.set()
+        if behind:
+            time.sleep(0)
 
     def _run(self):
         while not self._stop.is_set():

@@ -8,8 +8,8 @@ import pytest
 from wbosc.params import ParameterKind, ParameterRegistry
 from wbosc.transports import (BindingConfig, BindingManager, FileBindingFactory,
                               IntraBindingFactory, IntraBus, OutputBinding,
-                              PublisherWorker,
-                              TransportError, UdpBindingFactory, UdpTransport,
+                              PublisherWorker, TransportError,
+                              UdpBindingFactory, UdpTransport,
                               decode_message, encode_message,
                               KIND_PUBLISH)
 
@@ -117,6 +117,27 @@ def test_dropped_output_values_are_counted_on_their_binding():
     assert binding.dropped > 0
     assert binding.published == len(delivered) + binding.dropped
     assert worker.drops == binding.dropped + (9 - len(other))
+
+
+def test_enqueue_hands_the_gil_to_a_drain_that_fell_behind():
+    """A thread that never releases the GIL starves the drain thread unless
+    enqueue hands it over; the sink releases it per value, as a socket send
+    does, so the drain gets one value out per GIL slot."""
+    worker = PublisherWorker(maxlen=256)
+    delivered = []
+
+    def sink(topic, value):
+        time.sleep(0)
+        delivered.append(value)
+
+    try:
+        for i in range(2000):
+            worker.enqueue(sink, "x", i)
+        assert worker.flush()
+    finally:
+        worker.stop()
+    assert worker.drops == 0
+    assert delivered == list(range(2000))
 
 
 # -- bindings ------------------------------------------------------------------------
