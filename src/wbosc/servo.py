@@ -41,11 +41,15 @@ release lets a worker run for up to a switch interval (5 ms) before the
 servo thread gets the GIL back, so the quiet path calls nothing that
 releases it: events take their norm with a 1-D ``@``, the cycle's
 diagnostics go to the publisher as one queue entry, and joint limits are
-checked against arrays built once.  Measured with numpy 2.4.6 and OpenBLAS
-0.3.31 on a 2-core x86-64 host, with a thread looping the call: ``np.dot``
-and ``np.linalg.norm`` release the GIL at any size; ``svd`` from 6x6,
-``eigh`` from 22x22, and 2-D ``@``, ``inv``, ``einsum`` and reductions from
-64x64; 1-D ``@``, ``solve`` and ufuncs on small arrays did not.
+checked against arrays built once.  The one exception is the publisher:
+when more than ``PublisherWorker.BEHIND`` entries wait, enqueue hands it
+the GIL too, since a single-threaded servo never yields at all.
+
+Measured with numpy 2.4.6 and OpenBLAS 0.3.31 on a 2-core x86-64 host,
+with a thread looping the call: ``np.dot`` and ``np.linalg.norm`` release
+the GIL at any size; ``svd`` from 6x6, ``eigh`` from 22x22, and 2-D ``@``,
+``inv``, ``einsum`` and reductions from 64x64; 1-D ``@``, ``solve`` and
+ufuncs on small arrays did not.
 
 Single-threaded mode replaces the staging/check steps with direct inline
 model and task updates every cycle, so the effort is recomputed every cycle
