@@ -162,10 +162,9 @@ class AssembledController:
             description.name, fw.world_gravity, description.links,
             description.joints)
 
-        single_model = fw.single_threaded_model
-        single_tasks = fw.single_threaded_tasks
-        if single_threaded is not None:
-            single_model = single_tasks = single_threaded
+        if single_threaded is None:
+            # the parser only accepts equal single_threaded_* keys
+            single_threaded = fw.single_threaded_model
 
         self.clock = clock or make_clock(fw.servo_clock_type, fw.servo_frequency)
 
@@ -273,9 +272,8 @@ class AssembledController:
             self.name, self.model_pair, self.compound, self.wbc,
             self.interface, self.clock, registry=self.registry,
             publish=publish, limits=self.limits,
-            single_threaded_model=single_model,
-            single_threaded_tasks=single_tasks,
-            hooks=hooks, worker_delay=worker_delay, history=history)
+            single_threaded=single_threaded, hooks=hooks,
+            worker_delay=worker_delay, history=history)
 
     # -- construction helpers ------------------------------------------------
 

@@ -364,6 +364,10 @@ def _parse_framework(d, warnings):
             if not isinstance(d[key], bool):
                 raise ConfigError(f"controlit: {key} must be a boolean")
             setattr(fw, key, d[key])
+    if fw.single_threaded_model != fw.single_threaded_tasks:
+        raise ConfigError(
+            "controlit: single_threaded_model and single_threaded_tasks must "
+            "be equal; mixed threading modes are not supported")
     if "world_gravity" in d:
         g = d["world_gravity"]
         if not isinstance(g, (list, tuple)) or len(g) != 3:

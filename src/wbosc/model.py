@@ -23,14 +23,25 @@ no per-joint coordinate transforms:
 The mass matrix comes from the composite-rigid-body recursion, the gravity
 vector from a zero-velocity zero-acceleration inverse-dynamics pass, and the
 Coriolis/centrifugal vector from the full bias pass minus gravity.
+
+Jacobians
+---------
+The constant path mask P[body, dof] is 1 when the DOF lies on the body's
+root path.  With S = [S_ang; S_lin] per DOF, every Jacobian column is a
+masked expression of S and the joint type is read only where FK builds S:
+
+- angular column of DOF d:  P[body, d] S_ang[d]
+- linear column at world point x:  P[body, d] (S_lin[d] + S_ang[d] x x)
+- COM column:  ((P^T m)_d S_lin[d] + S_ang[d] x (P^T (m c))_d) / sum(m)
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .description import RobotDescription
-from .geometry import make_transform, rot_x, rot_y, rot_z, rpy_matrix, skew
+from .geometry import axis_angle_matrix, make_transform, rpy_matrix, skew
 
 _VIRTUAL_SPECS = (
     ("_virtual_tx", "prismatic", np.array([1.0, 0.0, 0.0])),
@@ -74,7 +85,7 @@ class _Body:
     """One node of the compiled tree (real link or virtual intermediate)."""
 
     __slots__ = ("name", "parent", "origin", "jtype", "axis", "dof",
-                 "mass", "com", "inertia", "dof_path")
+                 "mass", "com", "inertia")
 
     def __init__(self, name, parent, origin, jtype, axis, dof, mass, com, inertia):
         self.name = name
@@ -86,7 +97,6 @@ class _Body:
         self.mass = mass
         self.com = com
         self.inertia = inertia
-        self.dof_path = ()            # DOFs on the root path, set after build
 
 
 class RobotModel:
@@ -120,8 +130,8 @@ class RobotModel:
         self._I_w = np.zeros((L, 6, 6))
         self._IC = np.zeros((L, 6, 6))
         self._S = np.zeros((n, 6))
-        self._axis_w = np.zeros((n, 3))
-        self._org_w = np.zeros((n, 3))
+        self._S_ang = self._S[:, :3].T    # 3 x n views of the S rows
+        self._S_lin = self._S[:, 3:].T
         self._v = np.zeros((L, 6))
         self._a = np.zeros((L, 6))
         self._f = np.zeros((L, 6))
@@ -133,8 +143,19 @@ class RobotModel:
         self._eye3 = np.eye(3)
         self._jointT = np.eye(4)
         self._motion = np.eye(4)
-        self._dof_paths = [np.array(b.dof_path, dtype=int) for b in self._bodies]
         self._U = self._build_underactuation()
+
+        # constant topology: P[body, dof] marks the DOFs on the body's root
+        # path; the COM Jacobian's P^T m is constant too
+        self._P = np.zeros((L, n), dtype=bool)
+        for i, body in enumerate(self._bodies):
+            if body.parent >= 0:
+                self._P[i] = self._P[body.parent]
+            if body.dof is not None:
+                self._P[i, body.dof] = True
+        self._mass = np.array([b.mass for b in self._bodies])
+        self._total_mass = float(self._mass.sum())
+        self._path_mass = self._mass @ self._P
 
     # -- construction ----------------------------------------------------
 
@@ -226,12 +247,6 @@ class RobotModel:
         self._joint_dof = {name: self._n_virtual + i
                            for i, name in enumerate(real_names)}
 
-        for idx, body in enumerate(self._bodies):
-            path = [] if body.parent < 0 else list(self._bodies[body.parent].dof_path)
-            if body.dof is not None:
-                path.append(body.dof)
-            body.dof_path = tuple(path)
-
     def _build_underactuation(self):
         U = np.zeros((self.n_joints, self.n_dofs))
         for row, idx in enumerate(self.ordering.real_indices):
@@ -254,9 +269,9 @@ class RobotModel:
 
     def path_joint_names(self, link_name):
         """Names of the real joints on the link's path to the root."""
-        body = self._bodies[self.body_index(link_name)]
+        path = np.flatnonzero(self._P[self.body_index(link_name)])
         return tuple(self.ordering.real_joint_names[d - self._n_virtual]
-                     for d in body.dof_path if d >= self._n_virtual)
+                     for d in path if d >= self._n_virtual)
 
     def link_transform(self, link_name):
         self._require_fresh()
@@ -330,10 +345,7 @@ class RobotModel:
                     motion[1, 3] = body.axis[1] * q
                     motion[2, 3] = body.axis[2] * q
                 np.matmul(joint_T, motion, out=T[i])
-                R_pre = joint_T[:3, :3]
-                w = R_pre @ body.axis
-                self._axis_w[body.dof] = w
-                self._org_w[body.dof] = joint_T[:3, 3]
+                w = joint_T[:3, :3] @ body.axis
                 S = self._S[body.dof]
                 if body.jtype == "revolute":
                     S[:3] = w
@@ -375,7 +387,7 @@ class RobotModel:
                 continue
             d = body.dof
             F = IC[i] @ S[d]
-            path = self._dof_paths[i]
+            path = self._P[i]
             A[d, path] = S[path] @ F
             A[path, d] = A[d, path]
 
@@ -461,93 +473,53 @@ class RobotModel:
         """World-frame linear-velocity Jacobian of a link-frame point."""
         self._require_fresh()
         idx = self.body_index(link_name)
-        body = self._bodies[idx]
         T = self._T[idx]
         if point is None:
             x = T[:3, 3]
         else:
             x = T[:3, :3] @ np.asarray(point, dtype=float) + T[:3, 3]
         if out is None:
-            out = np.zeros((3, self.n_dofs))
-        else:
-            out[:] = 0.0
-        for d in body.dof_path:
-            if self._is_revolute_dof(d):
-                _cross3(self._axis_w[d], x - self._org_w[d], out[:, d])
-            else:
-                out[:, d] = self._axis_w[d]
-        return out
+            out = np.empty((3, self.n_dofs))
+        return self._linear_columns(x, self._P[idx], out)
 
     def spatial_jacobian(self, link_name, out=None):
         """6 x n_dofs Jacobian of a link frame, angular rows above linear."""
         self._require_fresh()
         idx = self.body_index(link_name)
-        body = self._bodies[idx]
-        o = self._T[idx, :3, 3]
+        path = self._P[idx]
         if out is None:
-            out = np.zeros((6, self.n_dofs))
-        else:
-            out[:] = 0.0
-        for d in body.dof_path:
-            if self._is_revolute_dof(d):
-                out[:3, d] = self._axis_w[d]
-                _cross3(self._axis_w[d], o - self._org_w[d], out[3:, d])
-            else:
-                out[3:, d] = self._axis_w[d]
+            out = np.empty((6, self.n_dofs))
+        np.multiply(self._S_ang, path, out=out[:3])
+        self._linear_columns(self._T[idx, :3, 3], path, out[3:])
+        return out
+
+    def _linear_columns(self, x, path, out):
+        """S_lin + S_ang x x for the DOFs on the path, zero elsewhere."""
+        np.matmul(skew(x), self._S_ang, out=out)   # x x S_ang = -(S_ang x x)
+        np.subtract(self._S_lin, out, out=out)
+        np.multiply(out, path, out=out)
         return out
 
     def com(self):
         """Whole-robot center of mass and its 3 x n_dofs Jacobian."""
         self._require_fresh()
-        total = sum(b.mass for b in self._bodies)
+        total = self._total_mass
         if total <= 0.0:
             raise ModelError("zero total mass")
-        c = np.zeros(3)
-        J = np.zeros((3, self.n_dofs))
-        for i, body in enumerate(self._bodies):
-            if body.mass == 0.0:
-                continue
-            w = body.mass / total
-            c += w * self._com_w[i]
-            x = self._com_w[i]
-            col = np.empty(3)
-            for d in body.dof_path:
-                if self._is_revolute_dof(d):
-                    J[:, d] += w * _cross3(self._axis_w[d], x - self._org_w[d], col)
-                else:
-                    J[:, d] += w * self._axis_w[d]
-        return c, J
-
-    def _is_revolute_dof(self, d):
-        return self._dof_kinds[d] == "revolute"
-
-    @property
-    def _dof_kinds(self):
-        kinds = getattr(self, "_dof_kind_cache", None)
-        if kinds is None:
-            kinds = [None] * self.n_dofs
-            for body in self._bodies:
-                if body.dof is not None:
-                    kinds[body.dof] = body.jtype
-            self._dof_kind_cache = kinds
-        return kinds
-
-
-def _axis_rotation(axis, angle):
-    # exact single-axis fast paths keep the hot loop cheap
-    if axis[0] == 1.0 and axis[1] == 0.0 and axis[2] == 0.0:
-        return rot_x(angle)
-    if axis[0] == 0.0 and axis[1] == 1.0 and axis[2] == 0.0:
-        return rot_y(angle)
-    if axis[0] == 0.0 and axis[1] == 0.0 and axis[2] == 1.0:
-        return rot_z(angle)
-    from .geometry import axis_angle_matrix
-    return axis_angle_matrix(axis, angle)
+        mc = self._mass[:, None] * self._com_w
+        # P^T (m c): the first mass moment of each DOF's subtree, 3 x n
+        b = mc.T @ self._P
+        a = self._S_ang
+        J = self._S_lin * self._path_mass
+        J[0] += a[1] * b[2] - a[2] * b[1]
+        J[1] += a[2] * b[0] - a[0] * b[2]
+        J[2] += a[0] * b[1] - a[1] * b[0]
+        J /= total
+        return mc.sum(axis=0) / total, J
 
 
 def _axis_rotation_into(axis, angle, T):
     """Write the joint rotation into the 3x3 block of a scratch transform."""
-    import math
     c, s = math.cos(angle), math.sin(angle)
     a0, a1, a2 = axis[0], axis[1], axis[2]
     if a0 == 1.0 and a1 == 0.0 and a2 == 0.0:
@@ -563,7 +535,7 @@ def _axis_rotation_into(axis, angle, T):
         T[1, 0] = s; T[1, 1] = c; T[1, 2] = 0.0
         T[2, 0] = 0.0; T[2, 1] = 0.0; T[2, 2] = 1.0
     else:
-        T[:3, :3] = _axis_rotation(axis, angle)
+        T[:3, :3] = axis_angle_matrix(axis, angle)
     T[0, 3] = 0.0
     T[1, 3] = 0.0
     T[2, 3] = 0.0

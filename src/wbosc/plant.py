@@ -72,14 +72,8 @@ class SimPlant:
         # columns of E span the independent coordinates; slaved and welded
         # DOFs are linear in them, so E is constant and the structural
         # constraints hold to machine precision at every step
-        virtual = set(self.model.ordering.virtual_indices)
-        if weld_base is None and not virtual:
-            free_virtual = []
-        elif weld_base is not None:
-            free_virtual = []
-        else:
-            free_virtual = sorted(virtual)
-        self._independent = list(free_virtual)
+        self._independent = ([] if weld_base is not None
+                             else list(self.model.ordering.virtual_indices))
         for name in names:
             if name not in slave_of:
                 self._independent.append(self.model.joint_dof_index(name))
@@ -214,7 +208,6 @@ class SimPlant:
         self.time += dt
         if self.enforce_limits:
             self._clamp_limits()
-        self._reconstruct()
         return self.state()
 
     def _clamp_limits(self):

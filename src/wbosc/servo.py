@@ -301,8 +301,8 @@ class ServoRuntime:
 
     def __init__(self, name, model_pair, compound, wbc, interface, clock,
                  registry=None, publish=None, limits=None,
-                 single_threaded_model=False, single_threaded_tasks=False,
-                 hooks=None, worker_delay=None, history=2048):
+                 single_threaded=False, hooks=None, worker_delay=None,
+                 history=2048):
         self.name = name
         self.compound = compound
         self.wbc = wbc
@@ -313,8 +313,7 @@ class ServoRuntime:
         self.limits = limits
         self._diagnostics_topics = tuple(
             f"{name}/diagnostics/{topic}" for topic in CYCLE_DIAGNOSTICS)
-        self.single_threaded_model = single_threaded_model
-        self.single_threaded_tasks = single_threaded_tasks
+        self.single_threaded = single_threaded
         self.hooks = hooks or ServoHooks()
         self.stats = RuntimeStats()
         self.buffers = DoubleBuffer(model_pair[0], model_pair[1], self.stats)
@@ -369,12 +368,11 @@ class ServoRuntime:
         def worker_error(text):
             self.publish("diagnostics/errors", text)
 
-        if not self.single_threaded_model:
+        if not self.single_threaded:
             self.model_worker = Worker("model-updater", self._model_round,
                                        self.hooks.model_worker_gate,
                                        self._worker_delay, worker_error)
             self.model_worker.start()
-        if not self.single_threaded_tasks:
             self.task_worker = Worker("task-updater", self._task_round,
                                       self.hooks.task_worker_gate,
                                       self._worker_delay, worker_error)
@@ -440,11 +438,10 @@ class ServoRuntime:
         # read before the scan: if the worker was idle then, its last round
         # was complete and this scan consumes all of it before a new round
         # can overwrite any task's state
-        tasks_idle = self.task_worker is not None and self.task_worker.idle()
+        tasks_idle = self.task_worker.idle()
         consumed = self._scan_tasks()
         swapped = False
-        if self.model_worker is not None \
-                and self.buffers.guard.acquire(blocking=False):
+        if self.buffers.guard.acquire(blocking=False):
             try:
                 if self.buffers.update_ready:
                     self.buffers.swap(self.clock.now())
@@ -465,7 +462,7 @@ class ServoRuntime:
 
     def _stage_model_update(self, state):
         """Hand the latest joint state to the model worker without blocking."""
-        if self.task_worker is not None and not self.task_worker.idle() \
+        if not self.task_worker.idle() \
                 and self._task_model is self.buffers.inactive:
             # the worker is still reading the copy we would overwrite
             self.stats.staging_skips += 1
@@ -505,9 +502,14 @@ class ServoRuntime:
         result.consumed_updates = 0
 
         t0 = time.perf_counter()
-        if self.single_threaded_model:
+        if self.single_threaded:
             self.active.update(state.position, state.velocity, now)
             self.last_model_swap_time = now
+            # inline task state refresh counts as state-update work
+            for task in self.compound.tasks():
+                if task.enabled:
+                    task.update(self.active.model, self.period)
+                    task.consume_update()
         else:
             consumed, swapped = self.check_for_updates()
             result.consumed_updates += consumed
@@ -516,12 +518,6 @@ class ServoRuntime:
             consumed, swapped = self.check_for_updates()
             result.consumed_updates += consumed
             result.model_swapped |= swapped
-        if self.single_threaded_tasks:
-            # inline task state refresh counts as state-update work
-            for task in self.compound.tasks():
-                if task.enabled:
-                    task.update(self.active.model, self.period)
-                    task.consume_update()
         t_model = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -650,10 +646,8 @@ class ServoRuntime:
 
     def _worker_running(self):
         """A worker has a round running or triggered."""
-        return ((self.model_worker is not None
-                 and not self.model_worker.idle())
-                or (self.task_worker is not None
-                    and not self.task_worker.idle()))
+        return self.model_worker is not None \
+            and not (self.model_worker.idle() and self.task_worker.idle())
 
     def phase_stats(self, last_n=None):
         """(median, p99) per phase over the recorded window, in seconds.

@@ -280,22 +280,11 @@ class OutputBinding:
             self._publisher.enqueue(self._sink, self.topic, value, self)
         return True
 
-    def close(self):
-        pass
-
 
 class InputBinding:
-    def __init__(self, config, unsubscribe=None):
+    def __init__(self, config):
         self.config = config
         self.topic = config.topic
-        self._unsubscribe = unsubscribe
-
-    def offer(self, value):   # input bindings never publish
-        return False
-
-    def close(self):
-        if self._unsubscribe is not None:
-            self._unsubscribe()
 
 
 # -- transport factories ----------------------------------------------------------------
@@ -525,8 +514,6 @@ class BindingManager:
         return binding
 
     def close(self):
-        for binding in self.bindings:
-            binding.close()
         self.bindings.clear()
 
 

@@ -206,6 +206,20 @@ def test_bad_framework_values():
             load_config(MINIMAL + "\n" + controlit)
 
 
+def test_unequal_threading_keys_rejected():
+    for keys in ("{single_threaded_model: true, single_threaded_tasks: false}",
+                 "{single_threaded_model: false, single_threaded_tasks: true}",
+                 "{single_threaded_tasks: true}"):
+        with pytest.raises(ConfigError) as info:
+            load_config(MINIMAL + "\ncontrolit: " + keys)
+        assert "single_threaded_model" in str(info.value)
+        assert "single_threaded_tasks" in str(info.value)
+    spec = load_config(MINIMAL + "\ncontrolit: "
+                       "{single_threaded_model: true, single_threaded_tasks: true}")
+    assert spec.framework.single_threaded_model is True
+    assert spec.framework.single_threaded_tasks is True
+
+
 # -- reconfiguration diff -----------------------------------------------------------------
 
 def test_diff_disable_posture():

@@ -250,6 +250,119 @@ def test_com_jacobian_matches_finite_differences(make_model):
         assert_jacobian_close(J, J_fd)
 
 
+# -- masked jacobians against the per-DOF loops --------------------------------
+
+class JacobiansByDof:
+    """The per-DOF loops that the masked Jacobians replaced, kept as
+    reference.  Joint axes, origins and root paths are walked from the body
+    tree and the world transforms, not read from S or the path mask."""
+
+    def __init__(self, model):
+        self.model = model
+        bodies = model._bodies
+        self.axis, self.origin, self.kind = {}, {}, {}
+        for i, body in enumerate(bodies):
+            if body.dof is None:
+                continue
+            parent_T = np.eye(4) if body.parent < 0 else model._T[body.parent]
+            joint_T = parent_T @ body.origin
+            self.axis[body.dof] = joint_T[:3, :3] @ body.axis
+            self.origin[body.dof] = joint_T[:3, 3]
+            self.kind[body.dof] = body.jtype
+
+    def path(self, idx):
+        dofs = []
+        while idx >= 0:
+            body = self.model._bodies[idx]
+            if body.dof is not None:
+                dofs.append(body.dof)
+            idx = body.parent
+        return dofs[::-1]
+
+    def linear_column(self, d, x):
+        if self.kind[d] == "revolute":
+            return np.cross(self.axis[d], x - self.origin[d])
+        return self.axis[d]
+
+    def point_jacobian(self, link, point):
+        idx = self.model.body_index(link)
+        T = self.model._T[idx]
+        x = T[:3, 3] if point is None else T[:3, :3] @ point + T[:3, 3]
+        J = np.zeros((3, self.model.n_dofs))
+        for d in self.path(idx):
+            J[:, d] = self.linear_column(d, x)
+        return J
+
+    def spatial_jacobian(self, link):
+        idx = self.model.body_index(link)
+        o = self.model._T[idx, :3, 3]
+        J = np.zeros((6, self.model.n_dofs))
+        for d in self.path(idx):
+            if self.kind[d] == "revolute":
+                J[:3, d] = self.axis[d]
+            J[3:, d] = self.linear_column(d, o)
+        return J
+
+    def com(self):
+        model = self.model
+        total = sum(b.mass for b in model._bodies)
+        c = np.zeros(3)
+        J = np.zeros((3, model.n_dofs))
+        for i, body in enumerate(model._bodies):
+            if body.mass == 0.0:
+                continue
+            w = body.mass / total
+            x = model._T[i, :3, :3] @ body.com + model._T[i, :3, 3]
+            c += w * x
+            for d in self.path(i):
+                J[:, d] += w * self.linear_column(d, x)
+        return c, J
+
+
+@pytest.mark.parametrize("name", FIXTURE_ROBOTS)
+def test_jacobians_match_the_per_dof_loops(name, descriptions):
+    rng = np.random.default_rng(17)
+    model = RobotModel(descriptions[name])
+    n = model.n_dofs
+    links = [b.name for b in model._bodies if not b.name.startswith("_virtual")]
+    for _ in range(20):
+        # the virtual DOFs move too: every floating-base column is exercised
+        model.update_kinematics(rng.uniform(-np.pi, np.pi, n),
+                                rng.uniform(-1.0, 1.0, n))
+        ref = JacobiansByDof(model)
+        for link in links:
+            off = np.ones(n, dtype=bool)
+            off[ref.path(model.body_index(link))] = False
+            for point in (None, rng.uniform(-0.5, 0.5, 3)):
+                J = model.point_jacobian(link, point)
+                assert np.abs(J - ref.point_jacobian(link, point)).max() <= 1e-13
+                assert np.all(J[:, off] == 0.0)
+            J6 = model.spatial_jacobian(link)
+            assert np.abs(J6 - ref.spatial_jacobian(link)).max() <= 1e-13
+            assert np.all(J6[:, off] == 0.0)
+        c, J = model.com()
+        c_ref, J_ref = ref.com()
+        assert np.abs(c - c_ref).max() <= 1e-13
+        assert np.abs(J - J_ref).max() <= 1e-13
+
+
+def test_jacobian_out_receives_the_returned_values(make_model):
+    rng = np.random.default_rng(23)
+    model = make_model("dreamer22")
+    q = rng.uniform(-1.0, 1.0, 22)
+    model.update_kinematics(q, np.zeros(22))
+    point = np.array([0.0, 0.0, -0.08])
+    # views into a larger buffer, the way ConstraintSet.update passes rows
+    buffer = np.full((12, 22), np.nan)
+    J = model.point_jacobian("right_hand", point, out=buffer[:3])
+    assert np.shares_memory(J, buffer)
+    assert np.array_equal(buffer[:3], model.point_jacobian("right_hand", point))
+    J6 = model.spatial_jacobian("left_hand", out=buffer[3:9])
+    assert np.shares_memory(J6, buffer)
+    assert np.array_equal(buffer[3:9], model.spatial_jacobian("left_hand"))
+    assert np.isnan(buffer[9:]).all()
+
+
 # -- underactuation matrix ---------------------------------------------------
 
 def test_underactuation_dreamer22(make_model):
