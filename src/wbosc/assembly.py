@@ -171,14 +171,14 @@ class AssembledController:
         # model pair, tasks, constraints -------------------------------------
         models = (RobotModel(self.description), RobotModel(self.description))
         enabled_constraints = {e.name: e.enabled for e in spec.constraint_set}
-        pairs = []
-        for m in models:
-            cset = ConstraintSet()
-            for cspec in spec.constraints:
-                constraint = build_constraint(cspec)
-                constraint.enabled = enabled_constraints.get(cspec.name, True)
-                cset.add(constraint)
-            pairs.append(ServoModel(m, cset))
+        # one object per constraint, shared by both copies' sets, so that a
+        # parameter set at runtime reaches both
+        constraints = []
+        for cspec in spec.constraints:
+            constraint = build_constraint(cspec)
+            constraint.enabled = enabled_constraints.get(cspec.name, True)
+            constraints.append(constraint)
+        pairs = [ServoModel(m, ConstraintSet(constraints)) for m in models]
         self.model_pair = tuple(pairs)
 
         posture_goal = self._posture_goal(spec, models[0].n_joints)
@@ -203,7 +203,7 @@ class AssembledController:
             if tspec.name in priorities:
                 self.compound.add(task, priorities[tspec.name],
                                   enabled[tspec.name])
-        for constraint in pairs[0].constraints.constraints:
+        for constraint in constraints:
             constraint.declare_parameters(self.registry)
         for espec in spec.events:
             self.registry.add_event(espec.name, espec.expression)
@@ -371,9 +371,8 @@ class AssembledController:
             elif action.kind == "set_priority":
                 self.compound.set_priority(action.name, action.priority)
             elif action.kind in ("enable_constraint", "disable_constraint"):
-                value = action.kind == "enable_constraint"
-                for pair in self.model_pair:
-                    pair.constraints.constraint(action.name).enabled = value
+                self.model_pair[0].constraints.constraint(action.name) \
+                    .enabled = action.kind == "enable_constraint"
             else:
                 raise AssemblyError(f"unknown action {action.kind!r}")
 

@@ -165,6 +165,20 @@ class ConstraintSet:
     def total_constrained_dofs(self):
         return sum(c.constrained_dof_count for c in self.enabled_constraints())
 
+    # everything update fills
+    UPDATED = ("Ainv", "J_c", "N_c", "UNcBar", "Lstar", "Phi", "UNcBarL",
+               "_constrained_joints")
+
+    def updated_values(self):
+        return tuple(getattr(self, name) for name in self.UPDATED)
+
+    def load_update(self, values):
+        """Take another set's updated_values(), as if update had run here
+        with the same constraints and model state."""
+        for name, value in zip(self.UPDATED, values):
+            setattr(self, name, value)
+        self.version += 1
+
     def update(self, model):
         n = model.n_dofs
         nj = model.n_joints

@@ -304,6 +304,22 @@ class RobotModel:
 
     # -- kinematics ------------------------------------------------------
 
+    # the arrays update_kinematics fills that readers use (_S backs the
+    # _S_ang/_S_lin views); the other workspaces are scratch
+    UPDATED = ("q_full", "qd_full", "A", "B", "G", "_T", "_com_w", "_I_w",
+               "_S")
+
+    def updated_arrays(self):
+        return tuple(getattr(self, name) for name in self.UPDATED)
+
+    def load_update(self, arrays):
+        """Copy in another model's updated_arrays(), as if update_kinematics
+        had run here on the same description and state."""
+        for name, value in zip(self.UPDATED, arrays):
+            np.copyto(getattr(self, name), value)
+        self._fresh = True
+        self.version += 1
+
     def update_kinematics(self, q_full, qd_full):
         """Recompute world transforms, S vectors, A, B and G."""
         q_full = np.asarray(q_full, dtype=float)

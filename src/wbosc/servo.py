@@ -2,12 +2,27 @@
 
 Execution model
 ---------------
-Multi-threaded mode runs exactly three contexts: the servo executor (whoever
-calls servo_update), a model worker, and a task worker.  Shared state is two
-model copies behind one guard, per-task double buffers behind completion
-flags, and the worker trigger events.  The servo executor only ever uses
-non-blocking try-acquire on the guard; workers may block on their own
-triggers.
+Multi-threaded mode runs three threads and one child process.  The parent
+process owns the servo executor (whoever calls servo_update), the model
+worker and task worker threads, both model copies, the task states and the
+publisher.  Shared state is two model copies behind one guard, per-task
+double buffers behind completion flags, and the worker trigger events.  The
+servo executor only ever uses non-blocking try-acquire on the guard;
+workers may block on their own triggers.
+
+The model passes run in the child, a ModelProcess forked by servo_init once
+both copies are primed.  It owns a fork-time copy of one model and its
+constraint set and nothing else.  A model round sends it the staged joint
+state plus the parent's constraint objects, blocks in recv (which releases
+the GIL) while the child updates its copy, and copies the returned arrays
+into the inactive copy.  So the model passes no longer hold the parent's
+GIL, and the servo thread waits behind them for nothing.  The child is
+forked rather than spawned because a fresh interpreter importing wbosc
+takes longer than a whole set-up; the fork happens after the publisher
+thread has started, which is why the child touches only numpy, its copy and
+its pipe.  From Python 3.12 on, forking a process that has threads is
+deprecated and warns.  stop() ends the child before the caller closes the
+UDP socket, whose descriptor the child inherits.
 
 One servo cycle: read robot state, check for updates, stage joint state for
 the model worker (try-acquire; skip on contention), check again, compute the
@@ -34,7 +49,9 @@ active task states and the enabled/priority configuration are unchanged
 task update does almost no numpy work.  Such a cycle ends with
 ``time.sleep(0)`` while a worker has a round running: it hands the GIL to
 that worker, which otherwise waits out a full switch interval and the model
-and task states go stale.
+and task states go stale.  The task worker computes under the GIL; the
+model worker needs it only to send its request and copy the reply in, so
+the yield now waits behind a task pass or a copy, not a model pass.
 
 The rule: a quiet cycle's only GIL hand-off is that yield.  Every other
 release lets a worker run for up to a switch interval (5 ms) before the
@@ -52,10 +69,12 @@ the GIL at any size; ``svd`` from 6x6, ``eigh`` from 22x22, and 2-D ``@``,
 ufuncs on small arrays did not.
 
 Single-threaded mode replaces the staging/check steps with direct inline
-model and task updates every cycle, so the effort is recomputed every cycle
-and nothing yields.
+model and task updates every cycle, so the effort is recomputed every cycle,
+nothing yields and nothing is forked.
 """
 
+import multiprocessing
+import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -188,18 +207,104 @@ class ServoHooks:
 # -- double-buffered model -----------------------------------------------------
 
 class ServoModel:
-    """One model copy plus the constraint set derived from it."""
+    """One model copy plus the constraint set derived from it.
+
+    With a ``process`` set, update runs in that ModelProcess and copies its
+    result in here."""
 
     def __init__(self, model, constraint_set):
         self.model = model
         self.constraints = constraint_set
+        self.process = None
 
     def update(self, q_act, qd_act, stamp):
+        if self.process is not None:
+            self.process.update(self, q_act, qd_act, stamp)
+            return
         q_full = self.model.full_from_actual(q_act)
         qd_full = self.model.full_from_actual(qd_act)
         self.model.update_kinematics(q_full, qd_full)
         self.model.stamp = stamp
         self.constraints.update(self.model)
+
+    def updated(self):
+        return self.model.updated_arrays(), self.constraints.updated_values()
+
+    def load(self, updated, stamp):
+        model_arrays, constraint_values = updated
+        self.model.load_update(model_arrays)
+        self.model.stamp = stamp
+        self.constraints.load_update(constraint_values)
+
+
+class ModelProcess:
+    """A forked child that runs ServoModel.update for the parent.
+
+    The child owns a fork-time copy of one primed ServoModel.  A request is
+    the joint state, its stamp and the parent's constraint objects, so every
+    constraint and runtime parameter change is live in the child; the reply
+    is the copy's ``updated()`` arrays or the error text.  The child
+    touches only numpy, its copy and its end of the pipe, and exits on a
+    stop request or end of file."""
+
+    def __init__(self, servo_model):
+        context = multiprocessing.get_context("fork")
+        self._conn, child_end = context.Pipe()
+        self._process = context.Process(
+            target=_serve_model, args=(child_end, self._conn, servo_model),
+            name="model-process", daemon=True)
+        self._process.start()
+        child_end.close()
+        self.pid = self._process.pid
+
+    def update(self, servo_model, q_act, qd_act, stamp):
+        """Blocks in recv, which releases the GIL, while the child works."""
+        request = (q_act, qd_act, stamp, servo_model.constraints.constraints)
+        try:
+            self._conn.send(request)
+            reply = self._conn.recv()
+        except (EOFError, OSError):
+            raise ServoError("the model process has exited") from None
+        if isinstance(reply, str):
+            raise ServoError(reply)
+        servo_model.load(reply, stamp)
+
+    def stop(self):
+        if self._conn.closed:
+            return
+        try:
+            self._conn.send(None)
+        except OSError:
+            pass
+        self._process.join(timeout=2.0)
+        if self._process.is_alive():
+            self._process.terminate()
+            self._process.join()
+        self._conn.close()
+        self._process.close()
+
+
+def _serve_model(conn, parent_end, servo_model):
+    """The model process's loop."""
+    parent_end.close()
+    # the parent's Ctrl-C reaches the whole process group; the parent's
+    # stop request or its closed pipe ends this loop instead
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:
+            return
+        if request is None:
+            return
+        q_act, qd_act, stamp, constraints = request
+        servo_model.constraints.constraints = constraints
+        try:
+            servo_model.update(q_act, qd_act, stamp)
+        except Exception as exc:
+            conn.send(str(exc))
+        else:
+            conn.send(servo_model.updated())
 
 
 class DoubleBuffer:
@@ -319,6 +424,7 @@ class ServoRuntime:
         self.buffers = DoubleBuffer(model_pair[0], model_pair[1], self.stats)
         self.model_worker = None
         self.task_worker = None
+        self.model_process = None
         n_joints = model_pair[0].model.n_joints
         self._staged_q = np.zeros(n_joints)     # written under the guard
         self._staged_qd = np.zeros(n_joints)
@@ -353,7 +459,10 @@ class ServoRuntime:
         return self.clock.period
 
     def servo_init(self):
-        """Blocking read, prime both model copies, start idle workers."""
+        """Blocking read, prime both model copies, fork the model process,
+        start idle workers.  Runs once: a second call raises ServoError."""
+        if self._initialized:
+            raise ServoError("servo_init has already run")
         self.stats.servo_thread_ident = threading.get_ident()
         state = self.interface.read()
         now = self.clock.now()
@@ -369,6 +478,9 @@ class ServoRuntime:
             self.publish("diagnostics/errors", text)
 
         if not self.single_threaded:
+            self.model_process = ModelProcess(self.buffers.active)
+            for servo_model in (self.buffers.active, self.buffers.inactive):
+                servo_model.process = self.model_process
             self.model_worker = Worker("model-updater", self._model_round,
                                        self.hooks.model_worker_gate,
                                        self._worker_delay, worker_error)
@@ -384,6 +496,8 @@ class ServoRuntime:
         for worker in (self.model_worker, self.task_worker):
             if worker is not None:
                 worker.stop()
+        if self.model_process is not None:
+            self.model_process.stop()
 
     def __enter__(self):
         if not self._initialized:

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -7,8 +10,10 @@ import pytest
 from wbosc import fixtures
 from wbosc.assembly import build_from_files
 from wbosc.config import load_config
+from wbosc.constraints import Constraint
 from wbosc.model import RobotState
-from wbosc.servo import LockstepClock, MonotonicClock, ServoHooks, make_clock
+from wbosc.servo import (LockstepClock, MonotonicClock, ServoError,
+                         ServoHooks, make_clock)
 
 
 class FrozenInterface:
@@ -570,3 +575,177 @@ def test_model_update_failure_publishes_and_swaps_nothing():
         assert ctl.runtime.stats.model_swaps == swaps
         assert not ctl.runtime.buffers.update_ready
         assert ctl.runtime.model_worker.rounds > rounds
+
+
+# -- the model process ----------------------------------------------------------------
+
+def test_second_start_raises_and_starts_nothing():
+    before = set(threading.enumerate())
+    ctl = build_pend(interface=FrozenInterface(1, position=[0.2]))
+    with ctl:
+        ctl.start()
+        process = ctl.runtime.model_process
+        with pytest.raises(ServoError):
+            ctl.start()
+        with pytest.raises(ServoError):
+            ctl.runtime.servo_init()
+        assert ctl.runtime.model_process is process
+        assert [p.pid for p in multiprocessing.active_children()] \
+            == [process.pid]
+        names = [t.name for t in threading.enumerate() if t not in before]
+        assert names.count("model-updater") == 1
+        assert names.count("task-updater") == 1
+        ctl.run(cycles=5)
+
+
+def assert_exited(pid):
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+def test_close_ends_the_model_process_and_stop_is_idempotent():
+    ctl = build_pend(interface=FrozenInterface(1, position=[0.2]))
+    with ctl:
+        ctl.start()
+        ctl.run(cycles=20)
+        pid = ctl.runtime.model_process.pid
+        assert [p.pid for p in multiprocessing.active_children()] == [pid]
+    assert multiprocessing.active_children() == []
+    assert_exited(pid)
+    ctl.runtime.stop()
+    ctl.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_single_threaded_forks_nothing():
+    ctl = build_pend(single_threaded=True)
+    with ctl:
+        ctl.start()
+        ctl.run(cycles=5)
+        assert ctl.runtime.model_process is None
+        assert multiprocessing.active_children() == []
+
+
+def test_run_matrix_ends_every_model_process():
+    from wbosc.bench import run_matrix
+    children = []
+
+    def progress(text):
+        if text == "round 1/20":
+            children.extend(p.pid for p in multiprocessing.active_children())
+
+    run_matrix(fixtures.robot_path("dreamer22"), cycles=20, progress=progress)
+    assert len(children) == 6       # one per multi-threaded cell, all at once
+    assert multiprocessing.active_children() == []
+    for pid in children:
+        assert_exited(pid)
+
+
+class OfflineSensorConstraint(Constraint):
+    """A constraint whose Jacobian cannot be read; added disabled."""
+
+    type_name = "OfflineSensorConstraint"
+    constrained_dof_count = 1
+
+    def jacobian(self, model, out=None):
+        raise RuntimeError("contact sensor offline")
+
+
+def assert_model_failure_is_contained(ctl, iface, errors, expected):
+    """The next model rounds fail with ``expected``: nothing is swapped,
+    the servo never blocks and keeps cycling on the last good command."""
+    runtime = ctl.runtime
+    good = iface.last_effort.copy()
+    # a round that began before the break may still land once
+    assert runtime.wait_idle()
+    ctl.run(cycles=1)
+    swaps = runtime.stats.model_swaps
+    rounds = runtime.model_worker.rounds
+    cycles = runtime.cycle_count
+    assert run_until_error(ctl, errors, "model update failed")
+    assert f"model update failed: {expected}" in errors
+    ctl.run(cycles=50)
+    assert runtime.wait_idle()
+    ctl.run(cycles=1)
+    assert runtime.stats.model_swaps == swaps
+    assert not runtime.buffers.update_ready
+    assert runtime.model_worker.rounds > rounds
+    assert runtime.cycle_count > cycles + 50
+    assert runtime.stats.servo_blocking_acquires == 0
+    assert np.isfinite(iface.last_effort).all()
+    assert np.array_equal(iface.last_effort, good)
+
+
+def test_model_process_update_error_is_published():
+    iface = FrozenInterface(1, position=[0.2])
+    ctl = build_pend(interface=iface)
+    offline = OfflineSensorConstraint("footSensor")
+    offline.enabled = False
+    for servo_model in ctl.model_pair:
+        servo_model.constraints.add(offline)
+    errors = []
+    with ctl:
+        ctl.start()
+        ctl.bus.subscribe("pend/diagnostics/errors", errors.append)
+        ctl.run(cycles=5)
+        assert ctl.runtime.wait_idle()
+        ctl.run(cycles=1)
+        # the constraint objects travel with each request, so the flag
+        # set here reaches the model process
+        offline.enabled = True
+        assert_model_failure_is_contained(ctl, iface, errors,
+                                          "contact sensor offline")
+        assert [p.pid for p in multiprocessing.active_children()] \
+            == [ctl.runtime.model_process.pid]
+
+
+def test_killed_model_process_is_published():
+    iface = FrozenInterface(1, position=[0.2])
+    ctl = build_pend(interface=iface)
+    errors = []
+    with ctl:
+        ctl.start()
+        ctl.bus.subscribe("pend/diagnostics/errors", errors.append)
+        ctl.run(cycles=5)
+        assert ctl.runtime.wait_idle()
+        ctl.run(cycles=1)
+        os.kill(ctl.runtime.model_process.pid, signal.SIGKILL)
+        assert_model_failure_is_contained(ctl, iface, errors,
+                                          "the model process has exited")
+    assert multiprocessing.active_children() == []
+
+
+DREAMER_POSTURE = np.array([0.08, 0.08, -0.3, -0.15, 0.0, -1.3, 0.0, 0.0,
+                            0.0, -0.3, 0.15, 0.0, -1.3, 0.0, 0.0, 0.0])
+
+
+def test_constraint_parameters_reach_both_model_copies():
+    multi = build_dreamer(interface=FrozenInterface(16, DREAMER_POSTURE))
+    single = build_dreamer(interface=FrozenInterface(16, DREAMER_POSTURE),
+                           single_threaded=True)
+    with multi, single:
+        multi.start()
+        single.start()
+        multi.run(cycles=5)
+        for inputs, rows in (({"transmissionRatio": 2.0, "enabled": False}, 6),
+                             ({"enabled": True}, 7)):
+            for ctl in (multi, single):
+                for name, value in inputs.items():
+                    ctl.registry.stage_input(f"torsoTransmission.{name}",
+                                             value)
+                ctl.run(cycles=1)
+            reference = single.runtime.last_result.command.effort
+            # each settled cycle swaps in the other copy, updated after the
+            # inputs were applied
+            for _ in range(6):
+                assert multi.runtime.wait_idle()
+                multi.run(cycles=1)
+            for _ in range(4):
+                assert multi.runtime.wait_idle()
+                swaps = multi.runtime.stats.model_swaps
+                multi.run(cycles=1)
+                assert multi.runtime.stats.model_swaps > swaps
+                assert multi.runtime.active.constraints.J_c.shape[0] == rows
+                np.testing.assert_allclose(
+                    multi.runtime.last_result.command.effort, reference,
+                    rtol=0, atol=1e-12)
