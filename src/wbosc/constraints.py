@@ -169,11 +169,11 @@ class ConstraintSet:
     UPDATED = ("Ainv", "J_c", "N_c", "UNcBar", "Lstar", "Phi", "UNcBarL",
                "_constrained_joints")
 
-    def updated_values(self):
+    def updated(self):
         return tuple(getattr(self, name) for name in self.UPDATED)
 
     def load_update(self, values):
-        """Take another set's updated_values(), as if update had run here
+        """Take another set's updated(), as if update had run here
         with the same constraints and model state."""
         for name, value in zip(self.UPDATED, values):
             setattr(self, name, value)

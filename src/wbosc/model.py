@@ -309,11 +309,11 @@ class RobotModel:
     UPDATED = ("q_full", "qd_full", "A", "B", "G", "_T", "_com_w", "_I_w",
                "_S")
 
-    def updated_arrays(self):
+    def updated(self):
         return tuple(getattr(self, name) for name in self.UPDATED)
 
     def load_update(self, arrays):
-        """Copy in another model's updated_arrays(), as if update_kinematics
+        """Copy in another model's updated(), as if update_kinematics
         had run here on the same description and state."""
         for name, value in zip(self.UPDATED, arrays):
             np.copyto(getattr(self, name), value)

@@ -16,7 +16,7 @@ constraint set and nothing else.  A model round sends it the staged joint
 state plus the parent's constraint objects, blocks in recv (which releases
 the GIL) while the child updates its copy, and copies the returned arrays
 into the inactive copy.  So the model passes no longer hold the parent's
-GIL, and the servo thread waits behind them for nothing.  The child is
+GIL, and the servo thread no longer waits behind one for it.  The child is
 forked rather than spawned because a fresh interpreter importing wbosc
 takes longer than a whole set-up; the fork happens after the publisher
 thread has started, which is why the child touches only numpy, its copy and
@@ -227,15 +227,6 @@ class ServoModel:
         self.model.stamp = stamp
         self.constraints.update(self.model)
 
-    def updated(self):
-        return self.model.updated_arrays(), self.constraints.updated_values()
-
-    def load(self, updated, stamp):
-        model_arrays, constraint_values = updated
-        self.model.load_update(model_arrays)
-        self.model.stamp = stamp
-        self.constraints.load_update(constraint_values)
-
 
 class ModelProcess:
     """A forked child that runs ServoModel.update for the parent.
@@ -243,9 +234,10 @@ class ModelProcess:
     The child owns a fork-time copy of one primed ServoModel.  A request is
     the joint state, its stamp and the parent's constraint objects, so every
     constraint and runtime parameter change is live in the child; the reply
-    is the copy's ``updated()`` arrays or the error text.  The child
-    touches only numpy, its copy and its end of the pipe, and exits on a
-    stop request or end of file."""
+    is what the update wrote (``RobotModel.UPDATED`` and
+    ``ConstraintSet.UPDATED``) or the error text.  The child touches only
+    numpy, its copy and its end of the pipe, and exits on a stop request or
+    end of file."""
 
     def __init__(self, servo_model):
         context = multiprocessing.get_context("fork")
@@ -267,7 +259,10 @@ class ModelProcess:
             raise ServoError("the model process has exited") from None
         if isinstance(reply, str):
             raise ServoError(reply)
-        servo_model.load(reply, stamp)
+        model_arrays, constraint_values = reply
+        servo_model.model.load_update(model_arrays)
+        servo_model.model.stamp = stamp
+        servo_model.constraints.load_update(constraint_values)
 
     def stop(self):
         if self._conn.closed:
@@ -304,7 +299,8 @@ def _serve_model(conn, parent_end, servo_model):
         except Exception as exc:
             conn.send(str(exc))
         else:
-            conn.send(servo_model.updated())
+            conn.send((servo_model.model.updated(),
+                       servo_model.constraints.updated()))
 
 
 class DoubleBuffer:
