@@ -359,7 +359,8 @@ class AssembledController:
         self.close()
 
     def flush(self):
-        self.publisher.flush()
+        """Wait for the publisher to drain; False on its timeout."""
+        return self.publisher.flush()
 
     def apply_actions(self, actions):
         """Apply reconfiguration actions between servo cycles."""

@@ -240,7 +240,7 @@ class Wbosc:
     The effort of the last successful call without an internal-force
     reference is kept with the versions of its inputs, and reused while
     they stay the same: in multi-threaded servo mode most cycles bring
-    neither a new model nor a new task update.  A failed call stores
+    neither a new model nor a new goal half.  A failed call stores
     nothing, so a bad input raises on every call that sees it."""
 
     def __init__(self, n_dofs, n_joints, tolerance=DEFAULT_TOLERANCE,
@@ -288,10 +288,9 @@ class Wbosc:
     def _inputs_key(model, constraint_set, compound):
         """Versions of everything the effort depends on: the model and
         constraint set by identity and update count, and each task entry's
-        priority, enabled flag and active update sequence number."""
+        priority, enabled flag and goal-half version."""
         return (model, model.version, constraint_set, constraint_set.version,
-                compound, tuple((e.priority, e.task.enabled,
-                                 e.task.active_state.seq)
+                compound, tuple((e.priority, e.task.enabled, e.task.version)
                                 for e in compound.entries))
 
     def _effort(self, model, constraint_set, compound, internal_force_ref):

@@ -79,10 +79,12 @@ class Parameter:
         return self._value
 
     def set(self, value):
+        """Coerce and store ``value``.  The setter runs first: a value it
+        refuses (by raising) is not stored and not offered to a binding."""
         value = _coerce(self.kind, value)
-        self._value = value
         if self._setter is not None:
             self._setter(value)
+        self._value = value
         for binding in self.output_bindings:
             binding.offer(value)
 
@@ -118,6 +120,7 @@ class ParameterRegistry:
         self._staging = {}
         self._staging_lock = threading.Lock()
         self.staged_drops = 0
+        self.refused_inputs = 0     # staged values a parameter refused
 
     # -- declaration and lookup ------------------------------------------
 
@@ -159,11 +162,14 @@ class ParameterRegistry:
         with self._staging_lock:
             self._staging[name] = value
 
-    def drain_staged(self):
-        """Servo-side: apply staged inputs without ever blocking.
+    def drain_staged(self, warn=None):
+        """Servo-side: apply staged inputs without ever blocking; returns
+        how many were applied.
 
         On lock contention the drain is skipped; the values stay staged and
-        are applied on the next cycle.
+        are applied on the next cycle.  A value that its parameter or the
+        parameter's setter refuses (a ValueError) is skipped, counted in
+        ``refused_inputs`` and passed to ``warn``.
         """
         if not self._staging_lock.acquire(blocking=False):
             self.staged_drops += 1
@@ -182,9 +188,12 @@ class ParameterRegistry:
                 continue
             try:
                 param.set(value)
-                applied += 1
-            except ParameterError:
+            except ValueError as exc:
+                self.refused_inputs += 1
+                if warn is not None:
+                    warn(f"input {name!r} refused: {exc}")
                 continue
+            applied += 1
         return applied
 
     # -- events -------------------------------------------------------------

@@ -2,56 +2,44 @@
 
 Execution model
 ---------------
-Multi-threaded mode runs three threads and one child process.  The parent
+Multi-threaded mode runs two threads and one child process.  The parent
 process owns the servo executor (whoever calls servo_update), the model
-worker and task worker threads, both model copies, the task states and the
-publisher.  Shared state is two model copies behind one guard, per-task
-double buffers behind completion flags, and the worker trigger events.  The
-servo executor only ever uses non-blocking try-acquire on the guard;
-workers may block on their own triggers.
+worker thread, both model copies and the publisher.  A model copy
+(ServoModel) is one update epoch: the model, its constraint set and the
+state half of every compound task against that model (see ``tasks``).  The
+copies share one guard, which the servo executor only ever try-acquires.
 
-The model passes run in the child, a ModelProcess forked by servo_init once
-both copies are primed.  It owns a fork-time copy of one model and its
-constraint set and nothing else.  A model round sends it the staged joint
-state plus the parent's constraint objects, blocks in recv (which releases
-the GIL) while the child updates its copy, and copies the returned arrays
-into the inactive copy.  So the model passes no longer hold the parent's
-GIL, and the servo thread no longer waits behind one for it.  The child is
-forked rather than spawned because a fresh interpreter importing wbosc
-takes longer than a whole set-up; the fork happens after the publisher
-thread has started, which is why the child touches only numpy, its copy and
-its pipe.  From Python 3.12 on, forking a process that has threads is
-deprecated and warns.  stop() ends the child before the caller closes the
-UDP socket, whose descriptor the child inherits.
+The update passes run in the child, a ModelProcess forked by servo_init
+once both copies are primed; it owns a fork-time copy of one ServoModel.  A
+model round sends it the staged joint state and the parent's constraint
+objects, blocks in recv (which releases the GIL) while the child updates
+its copy and every task's state half, and copies the one reply into the
+inactive copy.  So a swap installs a model and task states of one epoch,
+and the update passes never hold the parent's GIL.  The child is forked
+rather than spawned because a fresh interpreter importing wbosc takes
+longer than a whole set-up; it is forked after the publisher thread has
+started, which is why it touches only numpy, its copy and its pipe: never
+a goal, a gain, a parameter or a binding.  From Python 3.12 on, forking a
+process that has threads is deprecated and warns.  stop() ends the child
+before the caller closes the UDP socket, whose descriptor it inherits.
 
-One servo cycle: read robot state, check for updates, stage joint state for
-the model worker (try-acquire; skip on contention), check again, compute the
-command from the active copies, emit events, write, publish diagnostics.
+One servo cycle: apply staged inputs, read robot state, check for a fresh
+copy, stage joint state for the model worker (try-acquire; skip on
+contention or while a reply waits to be swapped, so none is overwritten),
+check again, run the task goal halves when due, compute the command from
+the active copy, emit events, write, publish diagnostics.
 
-check_for_updates reads the task worker's idle state once, pulls the
-completed task updates in one scan, then swaps the model pair when the
-inactive copy is fresh.  A new task round, handed the active model, is
-triggered only when that one reading, taken before the scan, was idle.  The
-worker flags each task as it finishes it, so a round can end while the scan
-is under way; a reading taken after the scan could then start a new round
-before the scan had consumed a task it had already passed, and that round
-would overwrite the pending update.  Read first, a round that ends mid-scan
-simply waits for the next scan, and the trigger is deferred to the first
-later check that reads the worker idle.  A cycle whose parameter drain
-applied a staged input (a goal, gain or enable flag) also makes a task round
-due, so the input reaches the task states without waiting for the next
-swap.  Staging is skipped while the task worker is still reading the copy
-that would be overwritten.
-
-The controller reuses its last effort while the active model copy, the
-active task states and the enabled/priority configuration are unchanged
-(see ``Wbosc.compute``), so a cycle that swapped no model and consumed no
-task update does almost no numpy work.  Such a cycle ends with
-``time.sleep(0)`` while a worker has a round running: it hands the GIL to
-that worker, which otherwise waits out a full switch interval and the model
-and task states go stale.  The task worker computes under the GIL; the
-model worker needs it only to send its request and copy the reply in, so
-the yield now waits behind a task pass or a copy, not a model pass.
+A task's goal half (error, PID command, the ``error`` parameter) runs on the
+servo thread against the active copy's task state, for the enabled tasks,
+in a cycle that swapped or whose parameter drain applied an input (a goal,
+gain or enable flag).  So an input drained in cycle k is in cycle k's
+command with no request to the child, and the PID integrator stays in the
+parent.  The controller reuses its last effort while the active copy, each
+task's goal-half version and the enabled/priority configuration are
+unchanged (see ``Wbosc.compute``), so any other cycle does almost no numpy
+work.  It ends with ``time.sleep(0)`` while the model worker has a round
+running: that hands the worker the GIL, which it needs to send its request
+and copy the reply in, and would otherwise wait out a switch interval for.
 
 The rule: a quiet cycle's only GIL hand-off is that yield.  Every other
 release lets a worker run for up to a switch interval (5 ms) before the
@@ -68,9 +56,9 @@ the GIL at any size; ``svd`` from 6x6, ``eigh`` from 22x22, and 2-D ``@``,
 ``inv``, ``einsum`` and reductions from 64x64; 1-D ``@``, ``solve`` and
 ufuncs on small arrays did not.
 
-Single-threaded mode replaces the staging/check steps with direct inline
-model and task updates every cycle, so the effort is recomputed every cycle,
-nothing yields and nothing is forked.
+Single-threaded mode replaces the staging/check steps with an inline
+update of the active copy and runs both task halves every cycle, so the
+effort is recomputed every cycle, nothing yields and nothing is forked.
 """
 
 import multiprocessing
@@ -78,11 +66,11 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .controller import CommandError, WboscImpedance, enforce_limits
+from .tasks import TaskState
 
 PHASES = ("read", "update_model", "compute_command", "emit_events", "write")
 # published every cycle under <name>/diagnostics/, in this order; the command
@@ -187,8 +175,7 @@ class CountingLock:
 class RuntimeStats:
     servo_thread_ident: int = 0
     servo_blocking_acquires: int = 0
-    lost_task_updates: int = 0
-    consumed_task_updates: int = 0
+    lost_task_updates: int = 0      # gaps in the swapped reply sequence
     model_swaps: int = 0
     staging_skips: int = 0
     suppressed_commands: int = 0
@@ -196,25 +183,26 @@ class RuntimeStats:
 
 @dataclass
 class ServoHooks:
-    """Optional synchronization points for deterministic interleaving tests."""
+    """Optional synchronization point for deterministic interleaving tests."""
 
-    scan_step: object = None            # fn(task_index) after each scan check
-    task_worker_gate: object = None     # fn() at the start of each worker round
-    model_worker_gate: object = None
-    after_task_trigger: object = None   # fn() right after the worker is triggered
+    model_worker_gate: object = None    # fn() at the start of each worker round
 
 
 # -- double-buffered model -----------------------------------------------------
 
 class ServoModel:
-    """One model copy plus the constraint set derived from it.
+    """One model copy, the constraint set derived from it, and the state
+    half of every compound task against it: one update epoch.
 
-    With a ``process`` set, update runs in that ModelProcess and copies its
-    result in here."""
+    ``tasks`` holds (task, TaskState) pairs, set by the runtime; ``seq``
+    counts the updates made.  With a ``process`` set, update runs in that
+    ModelProcess and copies its result in here."""
 
     def __init__(self, model, constraint_set):
         self.model = model
         self.constraints = constraint_set
+        self.tasks = ()
+        self.seq = 0
         self.process = None
 
     def update(self, q_act, qd_act, stamp):
@@ -226,18 +214,36 @@ class ServoModel:
         self.model.update_kinematics(q_full, qd_full)
         self.model.stamp = stamp
         self.constraints.update(self.model)
+        for task, state in self.tasks:
+            task.update(self.model, state)
+        self.seq += 1
+
+    def updated(self):
+        """What update wrote: the reply of a ModelProcess."""
+        return (self.model.updated(), self.constraints.updated(),
+                [state for _, state in self.tasks], self.seq)
+
+    def load_update(self, reply, stamp):
+        model_arrays, constraint_values, states, self.seq = reply
+        self.model.load_update(model_arrays)
+        self.model.stamp = stamp
+        self.constraints.load_update(constraint_values)
+        self.tasks = tuple((task, state)
+                           for (task, _), state in zip(self.tasks, states))
 
 
 class ModelProcess:
     """A forked child that runs ServoModel.update for the parent.
 
-    The child owns a fork-time copy of one primed ServoModel.  A request is
-    the joint state, its stamp and the parent's constraint objects, so every
-    constraint and runtime parameter change is live in the child; the reply
-    is what the update wrote (``RobotModel.UPDATED`` and
-    ``ConstraintSet.UPDATED``) or the error text.  The child touches only
-    numpy, its copy and its end of the pipe, and exits on a stop request or
-    end of file."""
+    The child owns a fork-time copy of one primed ServoModel, its tasks
+    included.  A request is the joint state, its stamp and the parent's
+    constraint objects, so every constraint and runtime parameter change is
+    live in the child; the reply is what the update wrote
+    (``ServoModel.updated``) or the error text.  Of a task the child runs
+    only the state half, which reads the model and the task's fixed
+    geometry: never a goal, a gain, a parameter or a binding.  The child
+    touches only numpy, its copy and its end of the pipe, and exits on a
+    stop request or end of file."""
 
     def __init__(self, servo_model):
         context = multiprocessing.get_context("fork")
@@ -259,10 +265,7 @@ class ModelProcess:
             raise ServoError("the model process has exited") from None
         if isinstance(reply, str):
             raise ServoError(reply)
-        model_arrays, constraint_values = reply
-        servo_model.model.load_update(model_arrays)
-        servo_model.model.stamp = stamp
-        servo_model.constraints.load_update(constraint_values)
+        servo_model.load_update(reply, stamp)
 
     def stop(self):
         if self._conn.closed:
@@ -299,8 +302,7 @@ def _serve_model(conn, parent_end, servo_model):
         except Exception as exc:
             conn.send(str(exc))
         else:
-            conn.send((servo_model.model.updated(),
-                       servo_model.constraints.updated()))
+            conn.send(servo_model.updated())
 
 
 class DoubleBuffer:
@@ -322,17 +324,16 @@ class DoubleBuffer:
 # -- workers ---------------------------------------------------------------------
 
 class Worker:
-    """One worker thread that runs a round each time it is triggered.
+    """One worker thread that runs ``step()`` each time it is triggered.
 
-    ``body`` yields (label, step) pairs; a step that raises ends in
-    ``on_error("<label> failed: <exc>")`` and the round goes on.  ``gate`` and
-    ``delay`` run before each round (test seams).  ``idle()`` is true when no
-    round is running and none is triggered; the servo reads it without
-    blocking, and only the servo triggers, so an idle reading stays true
-    until the servo's next trigger."""
+    A step that raises ends in ``on_error(exc)``.  ``gate`` and ``delay`` run
+    before each round (test seams).  ``idle()`` is true when no round is
+    running and none is triggered; the servo reads it without blocking, and
+    only the servo triggers, so an idle reading stays true until the servo's
+    next trigger."""
 
-    def __init__(self, name, body, gate=None, delay=None, on_error=None):
-        self._body = body
+    def __init__(self, name, step, on_error, gate=None, delay=None):
+        self._step = step
         self._gate = gate
         self._delay = delay
         self._on_error = on_error
@@ -372,12 +373,10 @@ class Worker:
                 self._gate()
             if self._delay is not None:
                 time.sleep(self._delay())
-            for label, step in self._body():
-                try:
-                    step()
-                except Exception as exc:
-                    if self._on_error is not None:
-                        self._on_error(f"{label} failed: {exc}")
+            try:
+                self._step()
+            except Exception as exc:
+                self._on_error(exc)
             self.rounds += 1
             self._running = False
 
@@ -390,11 +389,12 @@ class CycleResult:
     command: object = None
     suppressed: bool = False
     model_swapped: bool = False
-    consumed_updates: int = 0
+    goals_updated: bool = False
 
 
 class ServoRuntime:
-    """Owns the servo loop state machine and the two child workers.
+    """Owns the servo loop state machine, the model worker and the model
+    process.
 
     ``publish(topics, values)`` hands values[i] for topics[i] off the servo
     thread as one unit, in order; ``limits`` is a JointLimits for the
@@ -418,17 +418,21 @@ class ServoRuntime:
         self.hooks = hooks or ServoHooks()
         self.stats = RuntimeStats()
         self.buffers = DoubleBuffer(model_pair[0], model_pair[1], self.stats)
+        for servo_model in model_pair:
+            servo_model.tasks = tuple(
+                (task, TaskState(task.dimension, task.n_dofs))
+                for task in compound.tasks())
         self.model_worker = None
-        self.task_worker = None
+        self.task_worker = None     # always None: the model process runs
+        #                             the task state halves
         self.model_process = None
         n_joints = model_pair[0].model.n_joints
         self._staged_q = np.zeros(n_joints)     # written under the guard
         self._staged_qd = np.zeros(n_joints)
         self._staged_stamp = 0.0
-        self._task_model = None     # the copy the task worker's round reads
-        self._task_trigger_pending = False
+        self._swapped_seq = 0       # seq of the last copy swapped in
+        self._goals_due = False     # an applied input or a failed goal half
         self._worker_delay = worker_delay
-        self._last_task_seq = {}
         self.cycle_count = 0
         self._initialized = False
         self._last_command = None
@@ -464,34 +468,30 @@ class ServoRuntime:
         now = self.clock.now()
         for servo_model in (self.buffers.active, self.buffers.inactive):
             servo_model.update(state.position, state.velocity, now)
-        for task in self.compound.tasks():
-            task.update(self.active.model, self.period)
-            task.consume_update()
-            self._last_task_seq[task.name] = task._update_seq
+        self._swapped_seq = self.active.seq
+        for task, task_state in self.active.tasks:
+            task.update_goal(task_state, self.period)
         self.last_model_swap_time = now
 
-        def worker_error(text):
-            self.publish("diagnostics/errors", text)
+        def worker_error(exc):
+            self.publish("diagnostics/errors", f"model update failed: {exc}")
 
         if not self.single_threaded:
             self.model_process = ModelProcess(self.buffers.active)
             for servo_model in (self.buffers.active, self.buffers.inactive):
                 servo_model.process = self.model_process
-            self.model_worker = Worker("model-updater", self._model_round,
+            self.model_worker = Worker("model-updater",
+                                       self._update_inactive_model,
+                                       worker_error,
                                        self.hooks.model_worker_gate,
-                                       self._worker_delay, worker_error)
+                                       self._worker_delay)
             self.model_worker.start()
-            self.task_worker = Worker("task-updater", self._task_round,
-                                      self.hooks.task_worker_gate,
-                                      self._worker_delay, worker_error)
-            self.task_worker.start()
         self._initialized = True
         return self
 
     def stop(self):
-        for worker in (self.model_worker, self.task_worker):
-            if worker is not None:
-                worker.stop()
+        if self.model_worker is not None:
+            self.model_worker.stop()
         if self.model_process is not None:
             self.model_process.stop()
 
@@ -503,84 +503,49 @@ class ServoRuntime:
     def __exit__(self, *exc):
         self.stop()
 
-    # -- worker rounds ---------------------------------------------------------
-
-    def _model_round(self):
-        """Model worker: refresh the inactive copy from the staged state."""
-        yield "model update", self._update_inactive_model
+    # -- the model worker and the swap ------------------------------------------
 
     def _update_inactive_model(self):
+        """Model worker round: refresh the inactive copy from the staged
+        state.  A trigger left over from a second staging before this round
+        took the guard finds the reply of that round still waiting to be
+        swapped; it already holds the staged state, so nothing is redone."""
         with self.buffers.guard:
+            if self.buffers.update_ready:
+                return
             self.buffers.inactive.update(self._staged_q, self._staged_qd,
                                          self._staged_stamp)
             self.buffers.update_ready = True
 
-    def _task_round(self):
-        """Task worker: update every enabled task against the handed copy.
-        Each task flags its own completion; the round ends after the last."""
-        model = self._task_model.model
-        for task in self.compound.tasks():
-            if task.enabled:
-                yield (f"task {task.name!r} update",
-                       partial(task.update, model, self.period))
-
-    # -- update pulling -------------------------------------------------------
-
-    def _scan_tasks(self):
-        consumed = 0
-        hook = self.hooks.scan_step
-        for idx, task in enumerate(self.compound.tasks()):
-            seq = task.consume_update()
-            if seq is not None:
-                consumed += 1
-                last = self._last_task_seq.get(task.name, 0)
-                if seq > last + 1:
-                    self.stats.lost_task_updates += seq - last - 1
-                self._last_task_seq[task.name] = seq
-            if hook is not None:
-                hook(idx)
-        self.stats.consumed_task_updates += consumed
-        return consumed
-
     def check_for_updates(self):
-        """Pull task updates, then swap in a fresh model and hand it to the
-        task worker when possible."""
-        # read before the scan: if the worker was idle then, its last round
-        # was complete and this scan consumes all of it before a new round
-        # can overwrite any task's state
-        tasks_idle = self.task_worker.idle()
-        consumed = self._scan_tasks()
-        swapped = False
-        if self.buffers.guard.acquire(blocking=False):
-            try:
-                if self.buffers.update_ready:
-                    self.buffers.swap(self.clock.now())
-                    swapped = True
-            finally:
-                self.buffers.guard.release()
-        if swapped:
-            self.stats.model_swaps += 1
-            self.last_model_swap_time = self.buffers.last_update_timestamp
-            self._task_trigger_pending = True
-        if self._task_trigger_pending and tasks_idle:
-            self._task_model = self.active
-            self.task_worker.trigger()
-            self._task_trigger_pending = False
-            if self.hooks.after_task_trigger is not None:
-                self.hooks.after_task_trigger()
-        return consumed, swapped
+        """Swap in a fresh model copy, with the task states of its epoch,
+        when one is ready.  Returns whether it swapped."""
+        if not self.buffers.guard.acquire(blocking=False):
+            return False
+        try:
+            if not self.buffers.update_ready:
+                return False
+            self.buffers.swap(self.clock.now())
+        finally:
+            self.buffers.guard.release()
+        self.stats.model_swaps += 1
+        self.last_model_swap_time = self.buffers.last_update_timestamp
+        seq = self.active.seq
+        self.stats.lost_task_updates += seq - self._swapped_seq - 1
+        self._swapped_seq = seq
+        return True
 
     def _stage_model_update(self, state):
-        """Hand the latest joint state to the model worker without blocking."""
-        if not self.task_worker.idle() \
-                and self._task_model is self.buffers.inactive:
-            # the worker is still reading the copy we would overwrite
-            self.stats.staging_skips += 1
-            return False
+        """Hand the latest joint state to the model worker without blocking.
+        Skipped while a reply waits to be swapped, so no reply is ever
+        overwritten before the servo has seen it."""
         if not self.buffers.guard.acquire(blocking=False):
             self.stats.staging_skips += 1
             return False
         try:
+            if self.buffers.update_ready:
+                self.stats.staging_skips += 1
+                return False
             self._staged_q[:] = state.position
             self._staged_qd[:] = state.velocity
             self._staged_stamp = self.clock.now()
@@ -589,6 +554,26 @@ class ServoRuntime:
         self.model_worker.trigger()
         return True
 
+    def _update_goals(self):
+        """Goal halves against the active copy: every enabled task after an
+        applied input, otherwise each enabled task whose active state is not
+        the active copy's (after a swap, that is every one).  Returns
+        whether any ran; a goal half that raises is a CommandError, and the
+        goal halves stay due until they all succeed."""
+        ran = False
+        for task, state in self.active.tasks:
+            if task.enabled and (self._goals_due
+                                 or task.active_state is not state):
+                try:
+                    task.update_goal(state, self.period)
+                except Exception as exc:
+                    self._goals_due = True
+                    raise CommandError(
+                        f"task {task.name!r} update failed: {exc}") from None
+                ran = True
+        self._goals_due = False
+        return ran
+
     # -- the servo cycle --------------------------------------------------------
 
     def servo_update(self):
@@ -596,10 +581,10 @@ class ServoRuntime:
             raise ServoError("servo_init has not run")
         t_cycle = time.perf_counter()
         now = self.clock.now()
-        if self.registry is not None and self.registry.drain_staged():
-            # a new goal, gain or enable flag reaches the task states only
-            # through a task round, so one is due now, not at the next swap
-            self._task_trigger_pending = True
+        if self.registry is not None \
+                and self.registry.drain_staged(warn=self._warn):
+            # a new goal, gain or enable flag reaches this cycle's command
+            self._goals_due = True
 
         t0 = time.perf_counter()
         state = self.interface.read()
@@ -609,31 +594,25 @@ class ServoRuntime:
         result.cycle = self.cycle_count
         result.suppressed = False
         result.model_swapped = False
-        result.consumed_updates = 0
+        result.goals_updated = False
 
         t0 = time.perf_counter()
         if self.single_threaded:
+            # the model and the task state halves, inline
             self.active.update(state.position, state.velocity, now)
             self.last_model_swap_time = now
-            # inline task state refresh counts as state-update work
-            for task in self.compound.tasks():
-                if task.enabled:
-                    task.update(self.active.model, self.period)
-                    task.consume_update()
+            self._goals_due = True
         else:
-            consumed, swapped = self.check_for_updates()
-            result.consumed_updates += consumed
-            result.model_swapped |= swapped
+            swapped = self.check_for_updates()
             self._stage_model_update(state)
-            consumed, swapped = self.check_for_updates()
-            result.consumed_updates += consumed
-            result.model_swapped |= swapped
+            result.model_swapped = self.check_for_updates() or swapped
         t_model = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         c0 = time.thread_time()
         command = None
         try:
+            result.goals_updated = self._update_goals()
             command = self._compute_command(state)
         except CommandError as exc:
             self.stats.suppressed_commands += 1
@@ -646,8 +625,7 @@ class ServoRuntime:
         t0 = time.perf_counter()
         fired = ()
         if self.registry is not None:
-            fired = self.registry.emit_events(
-                warn=lambda msg: self.publish("diagnostics/warnings", msg))
+            fired = self.registry.emit_events(warn=self._warn)
             for event_name in fired:
                 self.publish("events", event_name)
         t_events = time.perf_counter() - t0
@@ -660,7 +638,7 @@ class ServoRuntime:
             # suppressed cycle: hold the last good command
             self.interface.write(self._last_command)
         t_write = time.perf_counter() - t0
-        if not (result.consumed_updates or result.model_swapped) \
+        if not (result.goals_updated or result.model_swapped) \
                 and self._worker_running():
             # the controller reused its effort and held the GIL for the
             # whole cycle; let the worker run before the next one
@@ -730,6 +708,9 @@ class ServoRuntime:
         if self._publish is not None:
             self._publish((f"{self.name}/{topic}",), (value,))
 
+    def _warn(self, text):
+        self.publish("diagnostics/warnings", text)
+
     # -- run helpers -------------------------------------------------------------
 
     def run(self, cycles=None, duration=None):
@@ -745,8 +726,8 @@ class ServoRuntime:
         return self.cycle_count
 
     def wait_idle(self, timeout=2.0):
-        """Block (outside the servo cycle) until neither worker is running
-        or triggered; False on timeout."""
+        """Block (outside the servo cycle) until the model worker is neither
+        running nor triggered; False on timeout."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             if not self._worker_running():
@@ -755,9 +736,8 @@ class ServoRuntime:
         return False
 
     def _worker_running(self):
-        """A worker has a round running or triggered."""
-        return self.model_worker is not None \
-            and not (self.model_worker.idle() and self.task_worker.idle())
+        """The model worker has a round running or triggered."""
+        return self.model_worker is not None and not self.model_worker.idle()
 
     def phase_stats(self, last_n=None):
         """(median, p99) per phase over the recorded window, in seconds.

@@ -1,11 +1,14 @@
 """Task library: PID task-space control law, concrete task types, and the
 prioritized compound task.
 
-Every task update produces a triple (jacobian, reference acceleration, error)
-against a given model snapshot.  Updates are double buffered: update() writes
-the inactive copy and flags it complete; only the servo executor swaps via
-consume_update().  The compound task row-stacks the active copies of the
-enabled tasks at one priority level, in declaration order.
+A task update has two halves.  The state half, ``Task.update(model,
+state)``, reads the model only: it writes the Jacobian, the current value,
+its rate ``J q̇`` and, for Orientation2DTask, the plane basis into a
+TaskState stamped with the model's stamp.  The goal half,
+``Task.update_goal(state, dt)``, writes the error and the PID command from
+the goals and gains and makes that state the task's ``active_state``.  The
+compound task row-stacks the active states of the enabled tasks at one
+priority level, in declaration order.
 
 Binding surface (dot-namespaced by task name, case-sensitive): goalPosition,
 goalVelocity, goalAcceleration, goalOrientation, goalAngularVelocity,
@@ -16,7 +19,8 @@ parameter name to its vector, filled by the constructor.  Declaring the
 parameters declares every entry as a VECTOR parameter whose setter replaces
 the entry, so a goal set through the registry and a goal written into
 ``goals`` reach the next update the same way; only the registry path also
-updates the parameter's value.
+updates the parameter's value.  The setter refuses a vector of the wrong
+length, and a refused value is never stored.
 """
 
 from functools import partial
@@ -74,20 +78,22 @@ class PIDController:
 
 
 class TaskState:
-    """One buffered update: Jacobian, reference acceleration, error."""
+    """One task's state against one model snapshot: the state half writes
+    all but the error and the command, which the goal half writes."""
 
-    __slots__ = ("jacobian", "command", "error", "model_stamp", "seq")
+    __slots__ = ("jacobian", "current", "velocity", "basis", "model_stamp",
+                 "command", "error")
 
     def __init__(self, dimension, n_dofs):
         self.jacobian = np.zeros((dimension, n_dofs))
+        self.current = self.velocity = self.basis = None
+        self.model_stamp = 0.0
         self.command = np.zeros(dimension)
         self.error = np.zeros(dimension)
-        self.model_stamp = 0.0
-        self.seq = 0
 
 
 class Task:
-    """Base: double-buffered state, the goal store and the parameter
+    """Base: the two update halves, the goal store and the parameter
     reflection surface."""
 
     type_name = "Task"
@@ -101,43 +107,29 @@ class Task:
                       for key, value in goals.items()}
         self.gains = gains
         self.pid = PIDController(gains)
-        self._states = [TaskState(dimension, n_dofs), TaskState(dimension, n_dofs)]
-        self._active = 0
-        self.update_ready = False
-        self._update_seq = 0
+        self.active_state = TaskState(dimension, n_dofs)
+        self.version = 0            # bumped by every goal half
         self._p_error = None
 
-    # -- buffering protocol (see servo runtime) ---------------------------
-
-    @property
-    def active_state(self):
-        return self._states[self._active]
-
-    def update(self, model, dt):
-        """Recompute the inactive state against a model snapshot.
-
-        Called by the task worker (or inline in single-threaded mode), never
-        concurrently with itself.  The completion flag is set only after the
-        state is fully written.
-        """
-        state = self._states[1 - self._active]
-        self._compute(model, state, dt)
+    def update(self, model, state):
+        """State half: refresh ``state`` from a model snapshot.  Reads the
+        model and the task's fixed geometry only."""
+        self._update_state(model, state)
         state.model_stamp = model.stamp
-        self._update_seq += 1
-        state.seq = self._update_seq
+
+    def update_goal(self, state, dt):
+        """Goal half: the error and the PID command from ``state`` and the
+        current goals and gains; ``state`` becomes the active state."""
+        self._update_goal(state, dt)
+        self.active_state = state
+        self.version += 1
         if self._p_error is not None:
             self._p_error.set(state.error.copy())
-        self.update_ready = True
 
-    def consume_update(self):
-        """Servo-side swap; returns the consumed sequence number or None."""
-        if not self.update_ready:
-            return None
-        self.update_ready = False
-        self._active = 1 - self._active
-        return self.active_state.seq
+    def _update_state(self, model, state):
+        raise NotImplementedError
 
-    def _compute(self, model, state, dt):
+    def _update_goal(self, state, dt):
         raise NotImplementedError
 
     # -- parameters --------------------------------------------------------
@@ -158,13 +150,19 @@ class Task:
                                          writable=False)
         for key, value in self.goals.items():
             registry.declare(self.name, key, ParameterKind.VECTOR, value,
-                             setter=partial(self.goals.__setitem__, key))
+                             setter=partial(self._set_goal, key))
 
     def _set_gain(self, which, value):
         arr = self.gains._vec(value)
         if np.any(arr < 0.0):
             raise TaskError(f"{which} must be non-negative")
         getattr(self.gains, which)[:] = arr
+
+    def _set_goal(self, key, value):
+        if value.shape != self.goals[key].shape:
+            raise TaskError(f"{self.name}.{key}: length {value.shape} does "
+                            f"not match {self.goals[key].shape}")
+        self.goals[key] = value
 
 
 class JointPositionTask(Task):
@@ -192,14 +190,17 @@ class JointPositionTask(Task):
             self.name, "currentAcceleration", ParameterKind.VECTOR,
             np.zeros(self.dimension), writable=False)
 
-    def _compute(self, model, state, dt):
-        goal_q = self.goals["goalPosition"]
-        goal_qd = self.goals["goalVelocity"]
-        goal_qdd = self.goals["goalAcceleration"]
+    def _update_state(self, model, state):
         state.jacobian[:] = model.underactuation_matrix()
-        np.subtract(goal_q, model.q_actual(), out=state.error)
+        state.current = model.q_actual().copy()
+        state.velocity = model.qd_actual().copy()
+
+    def _update_goal(self, state, dt):
+        goal_qdd = self.goals["goalAcceleration"]
+        np.subtract(self.goals["goalPosition"], state.current, out=state.error)
         state.command[:] = self.pid.command(
-            state.error, goal_qd - model.qd_actual(), goal_qdd, dt)
+            state.error, self.goals["goalVelocity"] - state.velocity,
+            goal_qdd, dt)
         if self._p_current_acc is not None:
             self._p_current_acc.set(np.array(goal_qdd, dtype=float))
 
@@ -223,14 +224,17 @@ class CartesianPositionTask(Task):
         T = model.link_transform(self.link)
         return T[:3, :3] @ self.control_point + T[:3, 3]
 
-    def _compute(self, model, state, dt):
-        goals = self.goals
+    def _update_state(self, model, state):
         model.point_jacobian(self.link, self.control_point, out=state.jacobian)
-        np.subtract(goals["goalPosition"], self.current_position(model),
-                    out=state.error)
-        vel_error = goals["goalVelocity"] - state.jacobian @ model.qd_full
-        state.command[:] = self.pid.command(state.error, vel_error,
-                                            goals["goalAcceleration"], dt)
+        state.current = self.current_position(model)
+        state.velocity = state.jacobian @ model.qd_full
+
+    def _update_goal(self, state, dt):
+        goals = self.goals
+        np.subtract(goals["goalPosition"], state.current, out=state.error)
+        state.command[:] = self.pid.command(
+            state.error, goals["goalVelocity"] - state.velocity,
+            goals["goalAcceleration"], dt)
 
 
 class Orientation3DTask(Task):
@@ -250,22 +254,24 @@ class Orientation3DTask(Task):
         model.body_index(link)
         self.link = link
 
-    def _compute(self, model, state, dt):
+    def _update_state(self, model, state):
+        state.jacobian[:] = model.spatial_jacobian(self.link)[:3]
+        state.current = quat_from_matrix(
+            model.link_transform(self.link)[:3, :3])
+        state.velocity = state.jacobian @ model.qd_full
+
+    def _update_goal(self, state, dt):
         goal_q = self.goals["goalOrientation"]
-        goal_w = self.goals["goalAngularVelocity"]
         if abs(np.linalg.norm(goal_q) - 1.0) > 1e-6:
             raise TaskError(
                 f"task {self.name!r}: goal quaternion is not unit norm")
-        J6 = model.spatial_jacobian(self.link)
-        state.jacobian[:] = J6[:3]
-        q_cur = quat_from_matrix(model.link_transform(self.link)[:3, :3])
-        q_err = quat_multiply(goal_q, quat_conjugate(q_cur))
+        q_err = quat_multiply(goal_q, quat_conjugate(state.current))
         if q_err[0] < 0.0:
             q_err = -q_err
         state.error[:] = 2.0 * q_err[1:]
-        omega = state.jacobian @ model.qd_full
-        state.command[:] = self.pid.command(state.error, goal_w - omega,
-                                            np.zeros(3), dt)
+        state.command[:] = self.pid.command(
+            state.error, self.goals["goalAngularVelocity"] - state.velocity,
+            np.zeros(3), dt)
 
 
 class Orientation2DTask(Task):
@@ -301,19 +307,23 @@ class Orientation2DTask(Task):
         b2 = np.cross(heading, b1)
         return np.vstack([b1, b2])
 
-    def _compute(self, model, state, dt):
-        goal = _unit(self.goals["goalVector"], "goalVector")
+    def _update_state(self, model, state):
         h = self.heading(model)
+        state.current = h
+        state.basis = self.plane_basis(h)
+        J6 = model.spatial_jacobian(self.link)
+        state.jacobian[:] = state.basis @ (-skew(h)) @ J6[:3]
+        state.velocity = state.jacobian @ model.qd_full
+
+    def _update_goal(self, state, dt):
+        goal = _unit(self.goals["goalVector"], "goalVector")
+        h = state.current
         if h @ goal < -1.0 + 1e-9:
             raise TaskError(
                 f"task {self.name!r}: heading anti-parallel to goal, "
                 "direction undefined")
-        B = self.plane_basis(h)
-        state.error[:] = B @ (goal - h)
-        J6 = model.spatial_jacobian(self.link)
-        state.jacobian[:] = B @ (-skew(h)) @ J6[:3]
-        vel_error = -(state.jacobian @ model.qd_full)
-        state.command[:] = self.pid.command(state.error, vel_error,
+        state.error[:] = state.basis @ (goal - h)
+        state.command[:] = self.pid.command(state.error, -state.velocity,
                                             np.zeros(2), dt)
 
 
@@ -327,12 +337,15 @@ class ComTask(Task):
             "goalPosition": np.zeros(3) if goal_position is None
             else goal_position})
 
-    def _compute(self, model, state, dt):
+    def _update_state(self, model, state):
         c, J = model.com()
         state.jacobian[:] = J
-        np.subtract(self.goals["goalPosition"], c, out=state.error)
-        vel_error = -(state.jacobian @ model.qd_full)
-        state.command[:] = self.pid.command(state.error, vel_error,
+        state.current = np.array(c)
+        state.velocity = state.jacobian @ model.qd_full
+
+    def _update_goal(self, state, dt):
+        np.subtract(self.goals["goalPosition"], state.current, out=state.error)
+        state.command[:] = self.pid.command(state.error, -state.velocity,
                                             np.zeros(3), dt)
 
 

@@ -138,8 +138,8 @@ def test_criterion_02_jacobian_suite():
             J_fd = fd_map(model, q, lambda m: m.com()[0])
             worst = max(worst, rel_err(Jc, J_fd))
             # 2d orientation task rows against the frozen-plane heading map
-            ori2d.update(model, 1e-3)
-            ori2d.consume_update()
+            state = ori2d.active_state
+            ori2d.update(model, state)
             B = ori2d.plane_basis(ori2d.heading(model))
             J2 = ori2d.active_state.jacobian.copy()
             J_fd = fd_map(model, q, lambda m: B @ ori2d.heading(m))
@@ -341,11 +341,20 @@ def test_criterion_07_transmission_lock():
 # -- 8: concurrency --------------------------------------------------------------------
 
 def test_criterion_08_concurrency():
-    from test_servo import (FrozenInterface, build_pend, build_dreamer,
-                            run_starvation_cycle)
-    # deterministic starvation interleaving
-    consumed, lost = run_starvation_cycle()
-    starvation_ok = consumed >= 5 and lost == 0
+    from test_servo import (EPOCH_BUILDS, FrozenInterface, build_pend,
+                            build_dreamer, mixed_epoch_cycles,
+                            run_two_stagings_before_a_round)
+    # deterministic interleaving: a reply waiting to be swapped is never
+    # overwritten, and the swap sees no gap in the reply sequence
+    refused, lost, step = run_two_stagings_before_a_round()
+    waiting_ok = refused and lost == 0 and step == 1
+
+    # every command from a model copy and task states of one epoch
+    mixed = {}
+    for robot, build in EPOCH_BUILDS.items():
+        with build() as ctl:
+            ctl.start()
+            mixed[robot] = mixed_epoch_cycles(ctl, 2000)
 
     # randomized scheduling stress
     rng = np.random.default_rng(808)
@@ -354,11 +363,15 @@ def test_criterion_08_concurrency():
                      worker_delay=lambda: float(rng.uniform(0.0, 0.002)))
     with ctl:
         ctl.start()
+        first = ctl.runtime.active.seq
         for _ in range(100_000):
             ctl.runtime.servo_update()
             ctl.clock.tick()
         blocking = ctl.runtime.stats.servo_blocking_acquires
         lost_stress = ctl.runtime.stats.lost_task_updates
+        # every swap installed the next reply: none skipped, none twice
+        replies_ok = ctl.runtime.active.seq \
+            == first + ctl.runtime.stats.model_swaps
 
     # frozen-state multi/single command equivalence
     import time as _time
@@ -379,13 +392,15 @@ def test_criterion_08_concurrency():
             commands[mode] = iface.last_effort
     equivalence = float(np.abs(commands[True] - commands[False]).max())
 
-    ok = (starvation_ok and blocking == 0 and lost_stress == 0
-          and equivalence < 1e-12)
+    ok = (waiting_ok and not any(mixed.values()) and blocking == 0
+          and lost_stress == 0 and replies_ok and equivalence < 1e-12)
     assert report(8, ok,
-                  f"starvation regression {'ok' if starvation_ok else 'LOST'}, "
+                  f"waiting reply {'kept' if waiting_ok else 'OVERWRITTEN'}, "
+                  f"mixed-epoch commands in 2000 cycles {mixed}, "
                   f"stress 1e5 cycles: {blocking} blocking acquires, "
-                  f"{lost_stress} lost updates, multi/single equivalence "
-                  f"{equivalence:.2e} (<1e-12)")
+                  f"{lost_stress} lost updates, reply sequence "
+                  f"{'whole' if replies_ok else 'BROKEN'}, multi/single "
+                  f"equivalence {equivalence:.2e} (<1e-12)")
 
 
 # -- 9: benchmark trends ----------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_configuration
-from test_tasks import build_disassembly_compound, update_all
+from test_tasks import build_disassembly_compound, update_all, updated
 from wbosc.constraints import (CoactuationConstraint, ConstraintSet,
                                FlatContactConstraint)
 from wbosc.controller import (Command, CommandError, JointLimits, LimitFlags,
@@ -309,8 +309,7 @@ def _update_constraints(model, cset, compound):
 def _update_task(model, cset, compound):
     task = compound.task("rightHandPosition")
     task.goals["goalPosition"] = task.goals["goalPosition"] + 0.01
-    task.update(model, DT)
-    task.consume_update()
+    updated(task, model)
 
 
 def _toggle_enabled(model, cset, compound):
@@ -358,8 +357,7 @@ def test_non_finite_task_raises_on_every_call(make_model):
     wbc.compute(model, cset, compound, state_of(model))
     task = compound.task("rightHandPosition")
     task.goals["goalPosition"] = np.full(3, np.nan)
-    task.update(model, DT)
-    task.consume_update()
+    updated(task, model)
     for _ in range(3):
         with pytest.raises(CommandError, match="rightHandPosition"):
             wbc.compute(model, cset, compound, state_of(model))

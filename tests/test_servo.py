@@ -3,6 +3,7 @@ import os
 import signal
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ def test_multi_threaded_first_cycle_fresh_model():
             <= ctl.runtime.period + 1e-12
 
 
-THREAD_NAMES = ("model-updater", "task-updater", "publisher", "udp-transport")
+THREAD_NAMES = ("model-updater", "publisher", "udp-transport")
 
 
 def test_close_stops_every_thread():
@@ -127,7 +128,6 @@ def test_close_stops_every_thread():
         started = [t for t in threading.enumerate() if t not in before]
         names = sorted(t.name for t in started)
         assert names.count("model-updater") == 1
-        assert names.count("task-updater") == 1
         assert set(names) == set(THREAD_NAMES)
     alive = [t.name for t in started if t.is_alive()]
     assert alive == []
@@ -168,7 +168,7 @@ def test_nan_command_suppressed_and_error_published():
         ctl.run(cycles=2)
         ctl.registry.require("posture.goalPosition").set(np.array([np.nan]))
         ctl.run(cycles=3)
-        ctl.flush()
+        assert ctl.flush()
     assert ctl.runtime.stats.suppressed_commands >= 1
     assert errors
 
@@ -190,96 +190,85 @@ def test_staleness_bound_under_lockstep():
         assert ctl.runtime.stats.servo_blocking_acquires == 0
 
 
-# -- starvation regression ------------------------------------------------------------
+# -- update epochs and the reply sequence ------------------------------------------
 
-class StarvationOrchestrator:
-    """Reproduces the lost-update interleaving deterministically: the task
-    worker completes every task after the servo's scan has already passed
-    task 0; if the worker is then re-triggered before task 0 is consumed,
-    its next round overwrites the pending update (the loss that reading the
-    worker's idle state before the scan, not after it, prevents)."""
-
-    def __init__(self):
-        self.gate = threading.Event()
-        self.armed = False
-        self.engaged = False
-        self.runtime = None
-
-    def task_worker_gate(self):
-        self.gate.wait(timeout=5.0)
-
-    def scan_step(self, index):
-        if not self.armed or index != 0 or self.engaged:
-            return
-        self.engaged = True
-        self.gate.set()              # let the worker run its round now
-        self._wait_worker_idle()
-
-    def after_task_trigger(self):
-        # once armed, hold the servo until the re-triggered round lands, so
-        # the overwrite deterministically precedes the next scan
-        if self.armed:
-            self._wait_worker_idle()
-
-    def _wait_worker_idle(self):
-        deadline = time.monotonic() + 5.0
-        while not self.runtime.task_worker.idle() \
-                and time.monotonic() < deadline:
-            time.sleep(1e-4)
+def mixed_epoch_cycles(ctl, cycles):
+    """Runs ``cycles`` lockstep closed-loop cycles; returns how many
+    computed their command from a model copy and enabled-task states that
+    carry different stamps."""
+    runtime = ctl.runtime
+    mixed = 0
+    for _ in range(cycles):
+        result = runtime.servo_update()
+        ctl.clock.tick()
+        stamp = runtime.active.model.stamp
+        if result.command is not None and any(
+                task.active_state.model_stamp != stamp
+                for task in ctl.compound.tasks() if task.enabled):
+            mixed += 1
+    return mixed
 
 
-def run_starvation_cycle():
-    orch = StarvationOrchestrator()
-    hooks = ServoHooks(task_worker_gate=orch.task_worker_gate,
-                       scan_step=orch.scan_step,
-                       after_task_trigger=orch.after_task_trigger)
-    ctl = build_dreamer(config="dreamer22_disassembly", hooks=hooks)
+EPOCH_BUILDS = {"pend1": build_pend,
+                "dreamer22_disassembly": partial(
+                    build_dreamer, config="dreamer22_disassembly")}
+
+
+@pytest.mark.parametrize("robot", EPOCH_BUILDS)
+def test_every_command_uses_one_update_epoch(robot):
+    ctl = EPOCH_BUILDS[robot]()
+    with ctl:
+        ctl.start()
+        assert mixed_epoch_cycles(ctl, 2000) == 0
+        stats = ctl.runtime.stats
+        assert stats.model_swaps > 0
+        assert stats.suppressed_commands == 0
+        assert stats.lost_task_updates == 0
+        assert stats.servo_blocking_acquires == 0
+
+
+def run_two_stagings_before_a_round():
+    """Stages twice while the model worker waits at its gate, after its
+    first trigger: the second trigger asks for a round that would overwrite
+    the first round's reply before the servo swapped it in.  Returns
+    (whether staging was refused while that reply waited, the lost-update
+    count after the swap, the swapped reply's sequence step)."""
+    arrived = threading.Event()
+    gate = threading.Event()
+
+    def hold():
+        arrived.set()
+        gate.wait(5.0)
+
+    ctl = build_pend(interface=FrozenInterface(1, position=[0.2]),
+                     hooks=ServoHooks(model_worker_gate=hold))
     with ctl:
         ctl.start()
         runtime = ctl.runtime
-        orch.runtime = runtime
-        # cycle 1: stage joint state; wait for the fresh inactive model
-        runtime.servo_update()
-        ctl.clock.tick()
-        deadline = time.monotonic() + 5.0
-        while not runtime.buffers.update_ready and time.monotonic() < deadline:
-            time.sleep(1e-4)
+        try:
+            first = runtime.active.seq
+            ctl.run(cycles=1)
+            assert arrived.wait(5.0)
+            ctl.run(cycles=1)           # the second trigger
+        finally:
+            gate.set()
+        assert runtime.wait_idle()
+        assert runtime.model_worker.rounds == 2
         assert runtime.buffers.update_ready
-        # cycle 2: swap + trigger the (gated) task worker; its restaging also
-        # kicks off another model update
-        runtime.servo_update()
-        ctl.clock.tick()
-        assert not runtime.task_worker.idle()
-        # wait for that model update to complete so the guard is free and a
-        # swap (hence a task-worker re-trigger) is available inside cycle 3;
-        # if the swap already landed in cycle 2, the deferred trigger is set
-        deadline = time.monotonic() + 5.0
-        while not (runtime.buffers.update_ready
-                   or runtime._task_trigger_pending) \
-                and time.monotonic() < deadline:
-            time.sleep(1e-4)
-        # cycle 3: the orchestrated interleaving; a trigger decided by an
-        # idle reading taken after the scan would let the worker's next
-        # round overwrite task 0's unconsumed update
-        orch.armed = True
+        skips = runtime.stats.staging_skips
+        refused = not runtime._stage_model_update(ctl.interface.read()) \
+            and runtime.stats.staging_skips == skips + 1
         result = runtime.servo_update()
-        ctl.clock.tick()
-        consumed_in_cycle = result.consumed_updates
-        # settle: let any re-triggered round finish and be consumed
-        for _ in range(5):
-            deadline = time.monotonic() + 5.0
-            while not runtime.task_worker.idle() \
-                    and time.monotonic() < deadline:
-                time.sleep(1e-4)
-            runtime.servo_update()
-            ctl.clock.tick()
-        return consumed_in_cycle, runtime.stats.lost_task_updates
+        assert result.model_swapped
+        return refused, runtime.stats.lost_task_updates, \
+            runtime.active.seq - first
 
 
-def test_starvation_recovers_all_updates():
-    consumed, lost = run_starvation_cycle()
-    assert consumed >= 5   # all five first-round updates seen in the cycle
+def test_a_waiting_reply_is_never_overwritten():
+    refused, lost, step = run_two_stagings_before_a_round()
+    assert refused
     assert lost == 0
+    assert step == 1
 
 
 # -- multi/single equivalence ----------------------------------------------------------
@@ -312,12 +301,15 @@ def test_randomized_stress_no_blocking_no_losses():
                      worker_delay=lambda: float(rng.uniform(0.0, 0.0004)))
     with ctl:
         ctl.start()
+        first = ctl.runtime.active.seq
         for _ in range(3000):
             ctl.runtime.servo_update()
             ctl.clock.tick()
         assert ctl.runtime.stats.servo_blocking_acquires == 0
         assert ctl.runtime.stats.lost_task_updates == 0
         assert ctl.runtime.stats.model_swaps > 0
+        # every swap installed the next reply: none skipped, none twice
+        assert ctl.runtime.active.seq == first + ctl.runtime.stats.model_swaps
 
 
 def test_phase_stats_recorded():
@@ -393,13 +385,93 @@ def test_goal_reaches_command_without_model_swap():
             ctl.run(cycles=5)
             before = iface.last_effort.copy()
             ctl.bus.publish("goals/posture", np.array([0.6]))
-            result = run_until(
-                ctl, lambda r: not np.array_equal(iface.last_effort, before))
-            assert result is not None, "the goal never reached the command"
+            result = ctl.runtime.servo_update()     # drains the goal
+            assert result.goals_updated and not result.suppressed
+            assert not np.array_equal(iface.last_effort, before)
             assert ctl.runtime.stats.model_swaps == 0
             assert not ctl.runtime.model_worker.idle()
         finally:
             gate.set()
+
+
+# the right elbow 0.1 rad off the posture goal, so that the posture and the
+# right-hand tasks have an error for a gain to act on
+POSE = [0.08, 0.08, -0.3, -0.15, 0.0, -1.2, 0, 0, 0,
+        -0.3, 0.15, 0.0, -1.3, 0, 0, 0]
+
+INPUTS = {
+    "goal": ("rightHandPosition.goalPosition",
+             lambda value: value + np.array([0.0, 0.0, 0.05])),
+    "gain": ("posture.kp", lambda value: 0.5 * value),
+    "enabled": ("leftHandOrientation.enabled", lambda value: not value),
+}
+
+
+@pytest.mark.parametrize("kind", INPUTS)
+def test_input_is_in_the_command_of_the_cycle_that_drains_it(kind):
+    """Multi-threaded with the model worker held, so nothing is swapped,
+    against single-threaded at the same frozen state: the input staged
+    before a cycle is in that cycle's command in both."""
+    name, change = INPUTS[kind]
+    gate = threading.Event()
+    multi = build_dreamer(
+        config="dreamer22_disassembly", interface=FrozenInterface(16, POSE),
+        hooks=ServoHooks(model_worker_gate=lambda: gate.wait(5.0)))
+    single = build_dreamer(config="dreamer22_disassembly",
+                           interface=FrozenInterface(16, POSE),
+                           single_threaded=True)
+    with multi, single:
+        try:
+            for ctl in (multi, single):
+                ctl.start()
+                ctl.run(cycles=5)
+            before = single.runtime.last_result.command.effort.copy()
+            for ctl in (multi, single):
+                ctl.registry.stage_input(
+                    name, change(ctl.registry.require(name).value))
+                result = ctl.runtime.servo_update()
+                assert result.goals_updated and not result.suppressed
+            effort = single.runtime.last_result.command.effort
+            assert not np.allclose(effort, before)
+            np.testing.assert_allclose(
+                multi.runtime.last_result.command.effort, effort,
+                rtol=0, atol=1e-12)
+            assert multi.runtime.stats.model_swaps == 0
+        finally:
+            gate.set()
+
+
+REFUSED = {
+    "kp-length": ("posture.kp", [1.0, 2.0]),
+    "kp-negative": ("posture.kp", [-1.0]),
+    "goal-length": ("posture.goalPosition", [0.1, 0.2]),
+}
+
+
+@pytest.mark.parametrize("single_threaded", [True, False],
+                         ids=["single", "multi"])
+@pytest.mark.parametrize("case", REFUSED)
+def test_refused_input_is_skipped_and_the_loop_keeps_cycling(case,
+                                                             single_threaded):
+    name, value = REFUSED[case]
+    iface = FrozenInterface(1, position=[0.2])
+    ctl = build_pend(interface=iface, single_threaded=single_threaded)
+    warnings = []
+    with ctl:
+        ctl.start()
+        ctl.bus.subscribe("pend/diagnostics/warnings", warnings.append)
+        ctl.run(cycles=5)
+        good = iface.last_effort.copy()
+        kept = ctl.registry.require(name).value.copy()
+        ctl.registry.stage_input(name, value)
+        ctl.run(cycles=20)
+        assert ctl.runtime.cycle_count == 25
+        assert ctl.runtime.stats.suppressed_commands == 0
+        assert np.array_equal(iface.last_effort, good)
+        np.testing.assert_array_equal(ctl.registry.require(name).value, kept)
+        assert ctl.registry.refused_inputs == 1
+        assert ctl.flush()
+    assert [w for w in warnings if w.startswith(f"input {name!r} refused")]
 
 
 def test_reused_cycles_yield_to_a_running_worker(monkeypatch, ladder_calls):
@@ -415,7 +487,7 @@ def test_reused_cycles_yield_to_a_running_worker(monkeypatch, ladder_calls):
                 before = len(yields)
                 result = ctl.runtime.servo_update()
                 ctl.clock.tick()
-                if not (result.consumed_updates or result.model_swapped):
+                if not (result.goals_updated or result.model_swapped):
                     quiet += 1
                     assert len(yields) == before + 1
             assert quiet and len(yields) == quiet
@@ -478,7 +550,7 @@ def test_quiet_cycle_hands_the_gil_over_only_at_its_yield(monkeypatch,
                         iface.last_effort)):
                     expected[topic].append(value)
                 ctl.clock.tick()
-                assert not (result.consumed_updates or result.model_swapped)
+                assert not (result.goals_updated or result.model_swapped)
                 assert len(yields) == len(enqueued) == k
             assert ladder_calls == []       # every cycle reused the effort
             assert releasing == []
@@ -524,34 +596,40 @@ def run_until_error(ctl, errors, prefix, cycles=2000):
     return False
 
 
-def test_task_update_failure_publishes_and_worker_keeps_running():
+@pytest.mark.parametrize("single_threaded", [True, False],
+                         ids=["single", "multi"])
+def test_task_update_failure_publishes_and_updates_keep_landing(
+        single_threaded):
     iface = FrozenInterface(1, position=[0.2])
-    ctl = build_pend(interface=iface)
+    ctl = build_pend(interface=iface, single_threaded=single_threaded)
     errors = []
     with ctl:
         ctl.start()
         ctl.bus.subscribe("pend/diagnostics/errors", errors.append)
         ctl.run(cycles=5)
-        assert ctl.runtime.wait_idle()
-        ctl.run(cycles=1)
         good = iface.last_effort.copy()
 
-        def broken(model, state, dt):
+        def broken(state, dt):
             raise RuntimeError("sensor frame missing")
 
-        ctl.compound.task("posture")._compute = broken
+        ctl.compound.task("posture")._update_goal = broken
         ctl.bus.publish("goals/posture", np.array([0.6]))
-        assert run_until_error(ctl, errors, "task 'posture' update failed")
-        assert "task 'posture' update failed: sensor frame missing" in errors
-        rounds = ctl.runtime.task_worker.rounds
-        ctl.bus.publish("goals/posture", np.array([0.7]))
+        result = ctl.runtime.servo_update()     # drains the goal
+        ctl.clock.tick()
+        assert result.suppressed
+        assert ctl.flush()
+        assert errors == ["task 'posture' update failed: sensor frame missing"]
+        # the goal half stays due: every later cycle is suppressed too,
+        # while model updates still land
+        updated = ctl.runtime.last_model_swap_time
         for _ in range(2000):
-            ctl.runtime.servo_update()
+            result = ctl.runtime.servo_update()
             ctl.clock.tick()
-            if ctl.runtime.task_worker.rounds > rounds:
+            assert result.suppressed
+            if ctl.runtime.last_model_swap_time > updated:
                 break
             time.sleep(1e-4)
-        assert ctl.runtime.task_worker.rounds > rounds
+        assert ctl.runtime.last_model_swap_time > updated
         assert np.array_equal(iface.last_effort, good)
 
 
@@ -601,7 +679,6 @@ def test_second_start_raises_and_starts_nothing():
             == [process.pid]
         names = [t.name for t in threading.enumerate() if t not in before]
         assert names.count("model-updater") == 1
-        assert names.count("task-updater") == 1
         ctl.run(cycles=5)
 
 

@@ -12,9 +12,11 @@ DT = 1e-3
 
 
 def updated(task, model, dt=DT):
-    task.update(model, dt)
-    task.consume_update()
-    return task.active_state
+    """Both halves of a task update against ``model``."""
+    state = task.active_state
+    task.update(model, state)
+    task.update_goal(state, dt)
+    return state
 
 
 # -- PID ----------------------------------------------------------------------
@@ -151,7 +153,7 @@ def test_orientation3d_nonunit_goal_rejected(make_model):
                              goal_orientation=[1.0, 0.0, 0.0, 0.0])
     task.goals["goalOrientation"] = np.array([1.0, 0.1, 0.0, 0.0])
     with pytest.raises(TaskError, match="unit"):
-        task.update(model, DT)
+        updated(task, model)
 
 
 # -- 2d orientation -----------------------------------------------------------------
@@ -180,7 +182,7 @@ def test_orientation2d_antiparallel_raises(make_model):
     task = Orientation2DTask("point", model, PIDGains(2, kp=1.0), link="arm",
                              body_vector=[1, 0, 0], goal_vector=[-1, 0, 0])
     with pytest.raises(TaskError, match="anti-parallel"):
-        task.update(model, DT)
+        updated(task, model)
 
 
 def test_orientation2d_jacobian_matches_frozen_plane_map(make_model):
@@ -250,8 +252,7 @@ def build_disassembly_compound(model, orientation="2d"):
 
 def update_all(compound, model, dt=DT):
     for task in compound.tasks():
-        task.update(model, dt)
-        task.consume_update()
+        updated(task, model, dt)
 
 
 def test_aggregate_shapes(make_model):
