@@ -221,15 +221,16 @@ class ServoModel:
     def updated(self):
         """What update wrote: the reply of a ModelProcess."""
         return (self.model.updated(), self.constraints.updated(),
-                [state for _, state in self.tasks], self.seq)
+                [state.updated() for _, state in self.tasks], self.seq)
 
     def load_update(self, reply, stamp):
-        model_arrays, constraint_values, states, self.seq = reply
+        """Copy in a reply; the copy must have been primed by update."""
+        model_arrays, constraint_values, task_values, self.seq = reply
         self.model.load_update(model_arrays)
         self.model.stamp = stamp
         self.constraints.load_update(constraint_values)
-        self.tasks = tuple((task, state)
-                           for (task, _), state in zip(self.tasks, states))
+        for (_, state), flat in zip(self.tasks, task_values):
+            state.load_update(flat, stamp)
 
 
 class ModelProcess:

@@ -91,6 +91,24 @@ class TaskState:
         self.command = np.zeros(dimension)
         self.error = np.zeros(dimension)
 
+    def _arrays(self):
+        return [a for a in (self.jacobian, self.current, self.velocity,
+                            self.basis) if a is not None]
+
+    def updated(self):
+        """What the state half wrote, as one flat vector: one array to
+        pickle instead of four."""
+        return np.concatenate([a.ravel() for a in self._arrays()])
+
+    def load_update(self, flat, stamp):
+        """Copy in ``updated()`` of a state of the same task; this state's
+        fields already have their shapes."""
+        start = 0
+        for a in self._arrays():
+            a[...] = flat[start:start + a.size].reshape(a.shape)
+            start += a.size
+        self.model_stamp = stamp
+
 
 class Task:
     """Base: the two update halves, the goal store and the parameter
