@@ -1,7 +1,7 @@
 """Whole-body operational space control runtime.
 
 Layers, bottom up: robot description and rigid-body model, task and
-constraint libraries, the prioritized torque controller, the multi-worker
+constraint libraries, the prioritized torque controller, the non-blocking
 servo runtime, parameter binding middleware, a simulated torque-controlled
 plant, and the command line harness.
 """

@@ -152,7 +152,7 @@ class AssembledController:
     def __init__(self, description, spec, *, latency_cycles=0, noise=None,
                  seed=0, clock=None, interface=None, udp_port=None,
                  log_dir=None, single_threaded=None, hooks=None,
-                 worker_delay=None, history=2048, publisher_queue=1024,
+                 history=2048, publisher_queue=1024,
                  initial_posture=None):
         self.spec = spec
         fw = spec.framework
@@ -272,8 +272,7 @@ class AssembledController:
             self.name, self.model_pair, self.compound, self.wbc,
             self.interface, self.clock, registry=self.registry,
             publish=publish, limits=self.limits,
-            single_threaded=single_threaded, hooks=hooks,
-            worker_delay=worker_delay, history=history)
+            single_threaded=single_threaded, hooks=hooks, history=history)
 
     # -- construction helpers ------------------------------------------------
 

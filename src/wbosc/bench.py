@@ -7,9 +7,9 @@ numbers isolate controller cost.
 The twelve cells are interleaved rather than run one after another: every
 cell is built and warmed up first, then the measured cycles are split into
 rounds, and each round runs a chunk of every cell in a freshly shuffled
-order.  Before the next chunk starts, the previous cell's workers and
-diagnostics publisher are left to go idle, so no cell pays for another's
-background work.  Slow drifts in host load then spread over all cells
+order.  Before the next chunk starts, the previous cell's model reply is
+read in and its diagnostics publisher left to go idle, so no cell pays for
+another's background work.  Slow drifts in host load then spread over all cells
 alike.  Each cell reports the median and the 99th percentile of every phase
 (read, update model, compute command, emit events, write, and the whole
 cycle) over its measured cycles, plus the servo thread's CPU time in the
@@ -104,8 +104,8 @@ def build_cell(description, levels, orientation, threading_mode, history):
 
 
 def _settle(ctl):
-    """Let the cell's workers and publisher go idle before another cell
-    runs."""
+    """Let the cell's model reply come in and its publisher go idle before
+    another cell runs."""
     ctl.runtime.wait_idle()
     ctl.flush()
 

@@ -16,7 +16,7 @@ actuated, constraint-consistent subsystem and UNcBar L, where Phi = L L' is
 a rank-revealing square root (one column of L per nonzero eigenvalue);
 UNcBar L maps task Jacobians straight into the whitened coordinates the
 priority ladder works in.  Both depend on the model only, so they are built
-here, on the model worker, rather than on every servo cycle.
+here, in the model process, rather than on every servo cycle.
 """
 
 import numpy as np

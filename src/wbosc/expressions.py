@@ -272,7 +272,7 @@ def _make_arith(fn, a, b):
 def _norm(value):
     """Euclidean norm, bit-identical to np.linalg.norm.  The 1-D ``@``
     keeps the GIL, where np.linalg.norm and np.dot release it through BLAS
-    and so hand the servo thread's time slice to a worker."""
+    and so hand the servo thread's time slice to another thread."""
     v = np.asarray(value, dtype=float).ravel()
     return math.sqrt(float(v @ v))
 

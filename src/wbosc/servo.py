@@ -1,33 +1,35 @@
-"""Servo runtime: clocks, the worker architecture, and the coordinator loop.
+"""Servo runtime: clocks, the model process, and the coordinator loop.
 
 Execution model
 ---------------
-Multi-threaded mode runs two threads and one child process.  The parent
-process owns the servo executor (whoever calls servo_update), the model
-worker thread, both model copies and the publisher.  A model copy
-(ServoModel) is one update epoch: the model, its constraint set and the
-state half of every compound task against that model (see ``tasks``).  The
-copies share one guard, which the servo executor only ever try-acquires.
+Multi-threaded mode runs one servo thread and one child process.  The parent
+process owns the servo executor (whoever calls servo_update), both model
+copies and the publisher.  A model copy (ServoModel) is one update epoch: the
+model, its constraint set and the state half of every compound task against
+that model (see ``tasks``).
 
 The update passes run in the child, a ModelProcess forked by servo_init
-once both copies are primed; it owns a fork-time copy of one ServoModel.  A
-model round sends it the staged joint state and the parent's constraint
-objects, blocks in recv (which releases the GIL) while the child updates
-its copy and every task's state half, and copies the one reply into the
-inactive copy.  So a swap installs a model and task states of one epoch,
-and the update passes never hold the parent's GIL.  The child is forked
-rather than spawned because a fresh interpreter importing wbosc takes
-longer than a whole set-up; it is forked after the publisher thread has
-started, which is why it touches only numpy, its copy and its pipe: never
-a goal, a gain, a parameter or a binding.  From Python 3.12 on, forking a
-process that has threads is deprecated and warns.  stop() ends the child
-before the caller closes the UDP socket, whose descriptor it inherits.
+once both copies are primed; it owns a fork-time copy of one ServoModel.
+The servo thread is its only client and never waits on it.  At staging, with
+no request in flight, the servo sends the joint state and the parent's
+constraint objects; with one in flight it counts a staging skip.  The child
+updates its copy and every task's state half and sends one reply.  At each
+check the servo reads only the reply bytes already in the pipe
+(``ReplyReader``); the check that completes the reply copies it into the
+inactive copy and swaps.  So a swap installs a model and task states of one
+epoch, and the update passes never hold the parent's GIL.  The child is
+forked rather than spawned because a fresh interpreter importing wbosc
+takes longer than a whole set-up; it is forked after the publisher thread
+has started, which is why it touches only numpy, its copy and its pipe:
+never a goal, a gain, a parameter or a binding.  From Python 3.12 on,
+forking a process that has threads is deprecated and warns.  stop() ends
+the child before the caller closes the UDP socket, whose descriptor it
+inherits.
 
-One servo cycle: apply staged inputs, read robot state, check for a fresh
-copy, stage joint state for the model worker (try-acquire; skip on
-contention or while a reply waits to be swapped, so none is overwritten),
-check again, run the task goal halves when due, compute the command from
-the active copy, emit events, write, publish diagnostics.
+One servo cycle: apply staged inputs, read robot state, check for a whole
+reply (swap it in), stage joint state for the child when no request is in
+flight, run the task goal halves when due, compute the command from the
+active copy, emit events, write, publish diagnostics.
 
 A task's goal half (error, PID command, the ``error`` parameter) runs on the
 servo thread against the active copy's task state, for the enabled tasks,
@@ -37,18 +39,17 @@ command with no request to the child, and the PID integrator stays in the
 parent.  The controller reuses its last effort while the active copy, each
 task's goal-half version and the enabled/priority configuration are
 unchanged (see ``Wbosc.compute``), so any other cycle does almost no numpy
-work.  It ends with ``time.sleep(0)`` while the model worker has a round
-running: that hands the worker the GIL, which it needs to send its request
-and copy the reply in, and would otherwise wait out a switch interval for.
+work.
 
-The rule: a quiet cycle's only GIL hand-off is that yield.  Every other
-release lets a worker run for up to a switch interval (5 ms) before the
-servo thread gets the GIL back, so the quiet path calls nothing that
-releases it: events take their norm with a 1-D ``@``, the cycle's
-diagnostics go to the publisher as one queue entry, and joint limits are
-checked against arrays built once.  The one exception is the publisher:
-when more than ``PublisherWorker.BEHIND`` entries wait, enqueue hands it
-the GIL too, since a single-threaded servo never yields at all.
+The rule: a quiet cycle's only GIL hand-off is the check's zero-timeout
+poll.  Every release lets another thread (the publisher, the UDP receiver)
+run for up to a switch interval (5 ms) before the servo thread gets the GIL
+back, so the quiet path calls nothing else that releases it: events take
+their norm with a 1-D ``@``, the cycle's diagnostics go to the publisher as
+one queue entry, and joint limits are checked against arrays built once.
+The one exception is the publisher: when more than ``PublisherWorker.BEHIND``
+entries wait, enqueue hands it the GIL too, since a single-threaded servo
+never polls at all.
 
 Measured with numpy 2.4.6 and OpenBLAS 0.3.31 on a 2-core x86-64 host,
 with a thread looping the call: ``np.dot`` and ``np.linalg.norm`` release
@@ -56,13 +57,17 @@ the GIL at any size; ``svd`` from 6x6, ``eigh`` from 22x22, and 2-D ``@``,
 ``inv``, ``einsum`` and reductions from 64x64; 1-D ``@``, ``solve`` and
 ufuncs on small arrays did not.
 
-Single-threaded mode replaces the staging/check steps with an inline
-update of the active copy and runs both task halves every cycle, so the
-effort is recomputed every cycle, nothing yields and nothing is forked.
+Single-threaded mode replaces the check and staging with an inline update
+of the active copy and runs both task halves every cycle, so the effort is
+recomputed every cycle and nothing is forked.
 """
 
 import multiprocessing
+import os
+import pickle
+import select
 import signal
+import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -143,72 +148,40 @@ def make_clock(kind, frequency):
 
 # -- instrumentation -----------------------------------------------------------
 
-class CountingLock:
-    """Lock wrapper that counts blocking acquires made by the servo thread.
-
-    The servo executor must never block; the counter turns that rule into a
-    measurable property instead of a convention.
-    """
-
-    def __init__(self, stats):
-        self._lock = threading.Lock()
-        self._stats = stats
-
-    def acquire(self, blocking=True):
-        if blocking and self._stats is not None \
-                and threading.get_ident() == self._stats.servo_thread_ident:
-            self._stats.servo_blocking_acquires += 1
-        return self._lock.acquire(blocking)
-
-    def release(self):
-        self._lock.release()
-
-    def __enter__(self):
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc):
-        self.release()
-
-
 @dataclass
 class RuntimeStats:
-    servo_thread_ident: int = 0
+    # no lock is left for the servo thread to acquire: stays 0
     servo_blocking_acquires: int = 0
     lost_task_updates: int = 0      # gaps in the swapped reply sequence
     model_swaps: int = 0
-    staging_skips: int = 0
+    staging_skips: int = 0          # stagings with a request in flight
     suppressed_commands: int = 0
 
 
 @dataclass
 class ServoHooks:
-    """Optional synchronization point for deterministic interleaving tests."""
+    """Optional test seam for deterministic interleaving tests."""
 
-    model_worker_gate: object = None    # fn() at the start of each worker round
+    model_round: object = None      # fn() in the model process before each
+    #                                 round; an exception fails the round
 
 
-# -- double-buffered model -----------------------------------------------------
+# -- model copies and the model process -------------------------------------------
 
 class ServoModel:
     """One model copy, the constraint set derived from it, and the state
     half of every compound task against it: one update epoch.
 
     ``tasks`` holds (task, TaskState) pairs, set by the runtime; ``seq``
-    counts the updates made.  With a ``process`` set, update runs in that
-    ModelProcess and copies its result in here."""
+    counts the updates made."""
 
     def __init__(self, model, constraint_set):
         self.model = model
         self.constraints = constraint_set
         self.tasks = ()
         self.seq = 0
-        self.process = None
 
     def update(self, q_act, qd_act, stamp):
-        if self.process is not None:
-            self.process.update(self, q_act, qd_act, stamp)
-            return
         q_full = self.model.full_from_actual(q_act)
         qd_full = self.model.full_from_actual(qd_act)
         self.model.update_kinematics(q_full, qd_full)
@@ -233,6 +206,49 @@ class ServoModel:
             state.load_update(flat, stamp)
 
 
+class ReplyReader:
+    """Collects one message sent by ``multiprocessing.Connection.send`` on
+    ``fd`` without ever waiting for bytes that are not there yet.
+
+    A Connection writes a 4-byte big-endian length and then the pickled
+    body, in two writes once the body is over 16 KiB, so a ``recv`` after a
+    ready ``poll`` can block between them.  ``ready`` reads only what a poll
+    found ready, into a buffer, until the header's length is in.  Messages
+    of 2 GiB or more (an 8-byte length) are not supported."""
+
+    def __init__(self, fd):
+        self._fd = fd
+        self._poller = select.poll()
+        self._poller.register(fd, select.POLLIN)
+        self._buffer = bytearray()
+
+    def _missing(self):
+        if len(self._buffer) < 4:
+            return 4 - len(self._buffer)
+        return 4 + struct.unpack_from("!i", self._buffer)[0] \
+            - len(self._buffer)
+
+    def ready(self, timeout=0):
+        """Whether the whole message is in.  Each poll waits up to
+        ``timeout`` ms, so with 0 this never waits; raises ServoError once
+        the peer has closed its end."""
+        while self._missing() and self._poller.poll(timeout):
+            try:
+                chunk = os.read(self._fd, self._missing())
+            except OSError:     # a peer killed with a request unread
+                chunk = b""
+            if not chunk:
+                raise ServoError("the model process has exited")
+            self._buffer += chunk
+        return not self._missing()
+
+    def take(self):
+        """The whole message, unpickled; the buffer starts over."""
+        message = pickle.loads(memoryview(self._buffer)[4:])
+        self._buffer = bytearray()
+        return message
+
+
 class ModelProcess:
     """A forked child that runs ServoModel.update for the parent.
 
@@ -240,33 +256,32 @@ class ModelProcess:
     included.  A request is the joint state, its stamp and the parent's
     constraint objects, so every constraint and runtime parameter change is
     live in the child; the reply is what the update wrote
-    (``ServoModel.updated``) or the error text.  Of a task the child runs
-    only the state half, which reads the model and the task's fixed
-    geometry: never a goal, a gain, a parameter or a binding.  The child
-    touches only numpy, its copy and its end of the pipe, and exits on a
-    stop request or end of file."""
+    (``ServoModel.updated``) or the error text, read through ``reader``.  Of
+    a task the child runs only the state half, which reads the model and
+    the task's fixed geometry: never a goal, a gain, a parameter or a
+    binding.  ``before_round`` runs in the child before each round (a test
+    seam).  The child touches only numpy, its copy and its end of the pipe,
+    and exits on a stop request or end of file."""
 
-    def __init__(self, servo_model):
+    def __init__(self, servo_model, before_round=None):
         context = multiprocessing.get_context("fork")
         self._conn, child_end = context.Pipe()
         self._process = context.Process(
-            target=_serve_model, args=(child_end, self._conn, servo_model),
+            target=_serve_model,
+            args=(child_end, self._conn, servo_model, before_round),
             name="model-process", daemon=True)
         self._process.start()
         child_end.close()
         self.pid = self._process.pid
+        self.reader = ReplyReader(self._conn.fileno())
 
-    def update(self, servo_model, q_act, qd_act, stamp):
-        """Blocks in recv, which releases the GIL, while the child works."""
-        request = (q_act, qd_act, stamp, servo_model.constraints.constraints)
+    def send(self, q_act, qd_act, stamp, constraints):
+        """Sends one request: a few hundred bytes, well under the pipe's
+        buffer, so the write does not wait on the child."""
         try:
-            self._conn.send(request)
-            reply = self._conn.recv()
-        except (EOFError, OSError):
+            self._conn.send((q_act, qd_act, stamp, constraints))
+        except OSError:
             raise ServoError("the model process has exited") from None
-        if isinstance(reply, str):
-            raise ServoError(reply)
-        servo_model.load_update(reply, stamp)
 
     def stop(self):
         if self._conn.closed:
@@ -283,7 +298,7 @@ class ModelProcess:
         self._process.close()
 
 
-def _serve_model(conn, parent_end, servo_model):
+def _serve_model(conn, parent_end, servo_model, before_round):
     """The model process's loop."""
     parent_end.close()
     # the parent's Ctrl-C reaches the whole process group; the parent's
@@ -299,87 +314,13 @@ def _serve_model(conn, parent_end, servo_model):
         q_act, qd_act, stamp, constraints = request
         servo_model.constraints.constraints = constraints
         try:
+            if before_round is not None:
+                before_round()
             servo_model.update(q_act, qd_act, stamp)
         except Exception as exc:
             conn.send(str(exc))
         else:
             conn.send(servo_model.updated())
-
-
-class DoubleBuffer:
-    """Active/inactive pair; the servo side only try-acquires the guard."""
-
-    def __init__(self, active, inactive, stats=None):
-        self.active = active
-        self.inactive = inactive
-        self.guard = CountingLock(stats)
-        self.update_ready = False
-        self.last_update_timestamp = 0.0
-
-    def swap(self, stamp):
-        self.active, self.inactive = self.inactive, self.active
-        self.update_ready = False
-        self.last_update_timestamp = stamp
-
-
-# -- workers ---------------------------------------------------------------------
-
-class Worker:
-    """One worker thread that runs ``step()`` each time it is triggered.
-
-    A step that raises ends in ``on_error(exc)``.  ``gate`` and ``delay`` run
-    before each round (test seams).  ``idle()`` is true when no round is
-    running and none is triggered; the servo reads it without blocking, and
-    only the servo triggers, so an idle reading stays true until the servo's
-    next trigger."""
-
-    def __init__(self, name, step, on_error, gate=None, delay=None):
-        self._step = step
-        self._gate = gate
-        self._delay = delay
-        self._on_error = on_error
-        self.rounds = 0
-        self._running = False
-        self._trigger = threading.Event()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name=name)
-
-    def start(self):
-        self._thread.start()
-
-    def stop(self):
-        self._stop.set()
-        self._trigger.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=2.0)
-
-    def trigger(self):
-        self._trigger.set()
-
-    def idle(self):
-        return not (self._running or self._trigger.is_set())
-
-    def _run(self):
-        while not self._stop.is_set():
-            if not self._trigger.wait(timeout=0.2):
-                continue
-            # running is raised before the trigger is cleared, so idle()
-            # never reads true between the two
-            self._running = True
-            self._trigger.clear()
-            if self._stop.is_set():
-                return
-            if self._gate is not None:
-                self._gate()
-            if self._delay is not None:
-                time.sleep(self._delay())
-            try:
-                self._step()
-            except Exception as exc:
-                self._on_error(exc)
-            self.rounds += 1
-            self._running = False
 
 
 # -- coordinator -------------------------------------------------------------------
@@ -394,7 +335,7 @@ class CycleResult:
 
 
 class ServoRuntime:
-    """Owns the servo loop state machine, the model worker and the model
+    """Owns the servo loop state machine, the model copies and the model
     process.
 
     ``publish(topics, values)`` hands values[i] for topics[i] off the servo
@@ -403,8 +344,7 @@ class ServoRuntime:
 
     def __init__(self, name, model_pair, compound, wbc, interface, clock,
                  registry=None, publish=None, limits=None,
-                 single_threaded=False, hooks=None, worker_delay=None,
-                 history=2048):
+                 single_threaded=False, hooks=None, history=2048):
         self.name = name
         self.compound = compound
         self.wbc = wbc
@@ -418,22 +358,18 @@ class ServoRuntime:
         self.single_threaded = single_threaded
         self.hooks = hooks or ServoHooks()
         self.stats = RuntimeStats()
-        self.buffers = DoubleBuffer(model_pair[0], model_pair[1], self.stats)
+        self.active, self._inactive = model_pair
         for servo_model in model_pair:
             servo_model.tasks = tuple(
                 (task, TaskState(task.dimension, task.n_dofs))
                 for task in compound.tasks())
-        self.model_worker = None
         self.task_worker = None     # always None: the model process runs
         #                             the task state halves
         self.model_process = None
-        n_joints = model_pair[0].model.n_joints
-        self._staged_q = np.zeros(n_joints)     # written under the guard
-        self._staged_qd = np.zeros(n_joints)
-        self._staged_stamp = 0.0
+        self._in_flight = False     # a request sent, its reply not swapped
+        self._staged_stamp = 0.0    # the in-flight request's stamp
         self._swapped_seq = 0       # seq of the last copy swapped in
         self._goals_due = False     # an applied input or a failed goal half
-        self._worker_delay = worker_delay
         self.cycle_count = 0
         self._initialized = False
         self._last_command = None
@@ -452,47 +388,29 @@ class ServoRuntime:
     # -- lifecycle ---------------------------------------------------------
 
     @property
-    def active(self):
-        return self.buffers.active
-
-    @property
     def period(self):
         return self.clock.period
 
     def servo_init(self):
-        """Blocking read, prime both model copies, fork the model process,
-        start idle workers.  Runs once: a second call raises ServoError."""
+        """Blocking read, prime both model copies, fork the model process.
+        Runs once: a second call raises ServoError."""
         if self._initialized:
             raise ServoError("servo_init has already run")
-        self.stats.servo_thread_ident = threading.get_ident()
         state = self.interface.read()
         now = self.clock.now()
-        for servo_model in (self.buffers.active, self.buffers.inactive):
+        for servo_model in (self.active, self._inactive):
             servo_model.update(state.position, state.velocity, now)
         self._swapped_seq = self.active.seq
         for task, task_state in self.active.tasks:
             task.update_goal(task_state, self.period)
         self.last_model_swap_time = now
-
-        def worker_error(exc):
-            self.publish("diagnostics/errors", f"model update failed: {exc}")
-
         if not self.single_threaded:
-            self.model_process = ModelProcess(self.buffers.active)
-            for servo_model in (self.buffers.active, self.buffers.inactive):
-                servo_model.process = self.model_process
-            self.model_worker = Worker("model-updater",
-                                       self._update_inactive_model,
-                                       worker_error,
-                                       self.hooks.model_worker_gate,
-                                       self._worker_delay)
-            self.model_worker.start()
+            self.model_process = ModelProcess(self.active,
+                                              self.hooks.model_round)
         self._initialized = True
         return self
 
     def stop(self):
-        if self.model_worker is not None:
-            self.model_worker.stop()
         if self.model_process is not None:
             self.model_process.stop()
 
@@ -504,55 +422,53 @@ class ServoRuntime:
     def __exit__(self, *exc):
         self.stop()
 
-    # -- the model worker and the swap ------------------------------------------
+    # -- the model process and the swap --------------------------------------------
 
-    def _update_inactive_model(self):
-        """Model worker round: refresh the inactive copy from the staged
-        state.  A trigger left over from a second staging before this round
-        took the guard finds the reply of that round still waiting to be
-        swapped; it already holds the staged state, so nothing is redone."""
-        with self.buffers.guard:
-            if self.buffers.update_ready:
-                return
-            self.buffers.inactive.update(self._staged_q, self._staged_qd,
-                                         self._staged_stamp)
-            self.buffers.update_ready = True
+    def _model_failed(self, exc):
+        self.publish("diagnostics/errors", f"model update failed: {exc}")
 
     def check_for_updates(self):
         """Swap in a fresh model copy, with the task states of its epoch,
-        when one is ready.  Returns whether it swapped."""
-        if not self.buffers.guard.acquire(blocking=False):
+        once the model process's whole reply is in.  Reads only bytes that
+        are already in the pipe, so it never waits.  Returns whether it
+        swapped."""
+        if not self._in_flight:
             return False
+        reader = self.model_process.reader
         try:
-            if not self.buffers.update_ready:
+            if not reader.ready():
                 return False
-            self.buffers.swap(self.clock.now())
-        finally:
-            self.buffers.guard.release()
+            self._in_flight = False
+            reply = reader.take()
+            if isinstance(reply, str):
+                raise ServoError(reply)
+        except ServoError as exc:
+            self._model_failed(exc)
+            return False
+        self._inactive.load_update(reply, self._staged_stamp)
+        self.active, self._inactive = self._inactive, self.active
         self.stats.model_swaps += 1
-        self.last_model_swap_time = self.buffers.last_update_timestamp
+        self.last_model_swap_time = self.clock.now()
         seq = self.active.seq
         self.stats.lost_task_updates += seq - self._swapped_seq - 1
         self._swapped_seq = seq
         return True
 
     def _stage_model_update(self, state):
-        """Hand the latest joint state to the model worker without blocking.
-        Skipped while a reply waits to be swapped, so no reply is ever
-        overwritten before the servo has seen it."""
-        if not self.buffers.guard.acquire(blocking=False):
+        """Send the latest joint state to the model process, unless a
+        request is in flight.  Returns whether it sent one."""
+        if self._in_flight:
             self.stats.staging_skips += 1
             return False
+        stamp = self.clock.now()
         try:
-            if self.buffers.update_ready:
-                self.stats.staging_skips += 1
-                return False
-            self._staged_q[:] = state.position
-            self._staged_qd[:] = state.velocity
-            self._staged_stamp = self.clock.now()
-        finally:
-            self.buffers.guard.release()
-        self.model_worker.trigger()
+            self.model_process.send(state.position, state.velocity, stamp,
+                                    self._inactive.constraints.constraints)
+        except ServoError as exc:
+            self._model_failed(exc)
+            return False
+        self._staged_stamp = stamp
+        self._in_flight = True
         return True
 
     def _update_goals(self):
@@ -604,9 +520,8 @@ class ServoRuntime:
             self.last_model_swap_time = now
             self._goals_due = True
         else:
-            swapped = self.check_for_updates()
+            result.model_swapped = self.check_for_updates()
             self._stage_model_update(state)
-            result.model_swapped = self.check_for_updates() or swapped
         t_model = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -639,11 +554,6 @@ class ServoRuntime:
             # suppressed cycle: hold the last good command
             self.interface.write(self._last_command)
         t_write = time.perf_counter() - t0
-        if not (result.goals_updated or result.model_swapped) \
-                and self._worker_running():
-            # the controller reused its effort and held the GIL for the
-            # whole cycle; let the worker run before the next one
-            time.sleep(0)
 
         result.command = command
         self._record_cycle(t_cycle, t_read, t_model, t_compute, t_events,
@@ -727,18 +637,15 @@ class ServoRuntime:
         return self.cycle_count
 
     def wait_idle(self, timeout=2.0):
-        """Block (outside the servo cycle) until the model worker is neither
-        running nor triggered; False on timeout."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if not self._worker_running():
-                return True
-            time.sleep(0.0005)
-        return False
-
-    def _worker_running(self):
-        """The model worker has a round running or triggered."""
-        return self.model_worker is not None and not self.model_worker.idle()
+        """Block, outside the servo cycle, until the in-flight reply is
+        whole, so that the next cycle's check swaps it in; False on
+        timeout.  A failed child counts as idle: the check reports it."""
+        if not self._in_flight:
+            return True
+        try:
+            return self.model_process.reader.ready(timeout * 1000.0)
+        except ServoError:
+            return True
 
     def phase_stats(self, last_n=None):
         """(median, p99) per phase over the recorded window, in seconds.
@@ -746,7 +653,7 @@ class ServoRuntime:
         Wall times per phase plus "total" for the whole cycle, and
         "compute_command_cpu": the servo thread's own CPU time
         (time.thread_time) in the compute phase, which excludes time spent
-        waiting for the GIL while a worker holds it."""
+        waiting for the GIL while another thread holds it."""
         n = min(self.cycle_count, self._history_len)
         if last_n is not None:
             n = min(n, last_n)

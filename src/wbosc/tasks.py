@@ -23,11 +23,12 @@ updates the parameter's value.  The setter refuses a vector of the wrong
 length, and a refused value is never stored.
 """
 
+import math
 from functools import partial
 
 import numpy as np
 
-from .geometry import quat_conjugate, quat_multiply, quat_from_matrix, skew
+from .geometry import quat_conjugate, quat_multiply, quat_from_matrix
 from .params import ParameterKind
 
 
@@ -318,19 +319,27 @@ class Orientation2DTask(Task):
         return model.link_transform(self.link)[:3, :3] @ self.body_vector
 
     def plane_basis(self, heading):
-        b1 = np.array([0.0, 0.0, 1.0]) - heading[2] * heading
-        if np.linalg.norm(b1) < 1e-6:
-            b1 = np.array([1.0, 0.0, 0.0]) - heading[0] * heading
-        b1 /= np.linalg.norm(b1)
-        b2 = np.cross(heading, b1)
-        return np.vstack([b1, b2])
+        """Rows b1 and b2 = heading x b1, in scalar arithmetic: numpy calls
+        on 3-vectors cost more than the arithmetic."""
+        hx, hy, hz = heading.tolist()
+        x, y, z = -hz * hx, -hz * hy, 1.0 - hz * hz     # z minus its heading
+        norm = math.sqrt(x * x + y * y + z * z)
+        if norm < 1e-6:
+            x, y, z = 1.0 - hx * hx, -hx * hy, -hx * hz
+            norm = math.sqrt(x * x + y * y + z * z)
+        x, y, z = x / norm, y / norm, z / norm
+        return np.array(((x, y, z),
+                         (hy * z - hz * y, hz * x - hx * z, hx * y - hy * x)))
 
     def _update_state(self, model, state):
         h = self.heading(model)
         state.current = h
         state.basis = self.plane_basis(h)
-        J6 = model.spatial_jacobian(self.link)
-        state.jacobian[:] = state.basis @ (-skew(h)) @ J6[:3]
+        # the heading's rate is w x h, so the rows are basis @ -skew(h),
+        # which for a unit h and b2 = h x b1 is [b2; -b1]
+        np.matmul(state.basis[::-1], model.spatial_jacobian(self.link)[:3],
+                  out=state.jacobian)
+        state.jacobian[1] *= -1.0
         state.velocity = state.jacobian @ model.qd_full
 
     def _update_goal(self, state, dt):

@@ -340,13 +340,15 @@ def test_criterion_07_transmission_lock():
 
 # -- 8: concurrency --------------------------------------------------------------------
 
-def test_criterion_08_concurrency():
-    from test_servo import (EPOCH_BUILDS, FrozenInterface, build_pend,
-                            build_dreamer, mixed_epoch_cycles,
+def test_criterion_08_concurrency(monkeypatch):
+    from test_servo import (EPOCH_BUILDS, FrozenInterface, ModelIO,
+                            build_pend, build_dreamer, delayed,
+                            mixed_epoch_cycles,
                             run_two_stagings_before_a_round)
-    # deterministic interleaving: a reply waiting to be swapped is never
-    # overwritten, and the swap sees no gap in the reply sequence
-    refused, lost, step = run_two_stagings_before_a_round()
+    # deterministic interleaving: while a request is in flight no other is
+    # sent, and the swap sees no gap in the reply sequence
+    with monkeypatch.context() as patch:
+        refused, lost, step = run_two_stagings_before_a_round(patch)
     waiting_ok = refused and lost == 0 and step == 1
 
     # every command from a model copy and task states of one epoch
@@ -356,17 +358,21 @@ def test_criterion_08_concurrency():
             ctl.start()
             mixed[robot] = mixed_epoch_cycles(ctl, 2000)
 
-    # randomized scheduling stress
+    # randomized scheduling stress; every call through which the servo
+    # thread could wait on the model process is recorded (see ModelIO)
     rng = np.random.default_rng(808)
     iface = FrozenInterface(1)
     ctl = build_pend(interface=iface,
-                     worker_delay=lambda: float(rng.uniform(0.0, 0.002)))
-    with ctl:
+                     hooks=delayed(lambda: float(rng.uniform(0.0, 0.002))))
+    with ctl, monkeypatch.context() as patch:
         ctl.start()
+        io = ModelIO(patch, ctl.runtime)
         first = ctl.runtime.active.seq
         for _ in range(100_000):
             ctl.runtime.servo_update()
             ctl.clock.tick()
+        waits = io.waits()
+        reads = io.count("read")
         blocking = ctl.runtime.stats.servo_blocking_acquires
         lost_stress = ctl.runtime.stats.lost_task_updates
         # every swap installed the next reply: none skipped, none twice
@@ -392,12 +398,15 @@ def test_criterion_08_concurrency():
             commands[mode] = iface.last_effort
     equivalence = float(np.abs(commands[True] - commands[False]).max())
 
-    ok = (waiting_ok and not any(mixed.values()) and blocking == 0
-          and lost_stress == 0 and replies_ok and equivalence < 1e-12)
+    ok = (waiting_ok and not any(mixed.values()) and not waits and reads
+          and blocking == 0 and lost_stress == 0 and replies_ok
+          and equivalence < 1e-12)
     assert report(8, ok,
-                  f"waiting reply {'kept' if waiting_ok else 'OVERWRITTEN'}, "
+                  f"in-flight request {'kept' if waiting_ok else 'DOUBLED'}, "
                   f"mixed-epoch commands in 2000 cycles {mixed}, "
-                  f"stress 1e5 cycles: {blocking} blocking acquires, "
+                  f"stress 1e5 cycles: {len(waits)} calls that could wait "
+                  f"{waits[:3]} ({reads} reads, each after a ready "
+                  f"zero-timeout poll), {blocking} blocking acquires, "
                   f"{lost_stress} lost updates, reply sequence "
                   f"{'whole' if replies_ok else 'BROKEN'}, multi/single "
                   f"equivalence {equivalence:.2e} (<1e-12)")
@@ -406,13 +415,13 @@ def test_criterion_08_concurrency():
 # -- 9: benchmark trends ----------------------------------------------------------------
 
 # The level clause compares medians of the servo thread's CPU time in the
-# compute phase (wall time there is mostly waiting for the GIL while a worker
-# holds it).  With a ladder whose cost does not depend on the level count
+# compute phase (wall time there is mostly waiting for the GIL while another
+# thread holds it).  With a ladder whose cost does not depend on the level count
 # the 5-level and 2-level medians are equal by design, so each threading
 # mode gets a margin set from its A/A spread: two identical 2-level cells,
 # interleaved in the same run, differed by up to 6.4% single-threaded and
 # 21.6% multi-threaded (32 pairs per mode over 16 runs on a shared 2-core
-# host; in multi-threaded mode the model worker runs beside the servo
+# host; in multi-threaded mode the model process runs beside the servo
 # thread).  A ladder that pays per level lands far outside: its 5-level to
 # 2-level ratio measured 1.44-1.73 in every pair (7 runs).
 LEVEL_MARGIN = {"single": 0.10, "multi": 0.25}

@@ -1,6 +1,11 @@
 import multiprocessing
+import multiprocessing.connection
 import os
+import pickle
 import signal
+import socket
+import struct
+import sys
 import threading
 import time
 from functools import partial
@@ -13,8 +18,8 @@ from wbosc.assembly import build_from_files
 from wbosc.config import load_config
 from wbosc.constraints import Constraint
 from wbosc.model import RobotState
-from wbosc.servo import (LockstepClock, MonotonicClock, ServoError,
-                         ServoHooks, make_clock)
+from wbosc.servo import (LockstepClock, MonotonicClock, ReplyReader,
+                         ServoError, ServoHooks, make_clock)
 
 
 class FrozenInterface:
@@ -37,7 +42,7 @@ class FrozenInterface:
 
 
 def build_pend(single_threaded=None, interface=None, hooks=None,
-               worker_delay=None, frequency=None, udp_port=None):
+               frequency=None, udp_port=None):
     text = fixtures.read_config("pend1_posture")
     if frequency is not None:
         text = text.replace("servo_frequency: 1000",
@@ -48,7 +53,13 @@ def build_pend(single_threaded=None, interface=None, hooks=None,
     description = load_description(fixtures.read_robot("pend1"))
     return AssembledController(description, spec, interface=interface,
                                single_threaded=single_threaded, hooks=hooks,
-                               worker_delay=worker_delay, udp_port=udp_port)
+                               udp_port=udp_port)
+
+
+def delayed(seconds):
+    """A seam that sleeps ``seconds()`` in the model process before each
+    round."""
+    return ServoHooks(model_round=lambda: time.sleep(seconds()))
 
 
 def build_dreamer(config="dreamer22_posture", **kwargs):
@@ -99,7 +110,6 @@ def test_single_threaded_starts_no_workers():
     ctl = build_pend(single_threaded=True)
     with ctl:
         ctl.start()
-        assert ctl.runtime.model_worker is None
         assert ctl.runtime.task_worker is None
         assert ctl.runtime.model_process is None
         ctl.run(cycles=5)
@@ -116,7 +126,7 @@ def test_multi_threaded_first_cycle_fresh_model():
             <= ctl.runtime.period + 1e-12
 
 
-THREAD_NAMES = ("model-updater", "publisher", "udp-transport")
+THREAD_NAMES = ("publisher", "udp-transport")
 
 
 def test_close_stops_every_thread():
@@ -126,9 +136,9 @@ def test_close_stops_every_thread():
         ctl.start()
         ctl.run(cycles=5)
         started = [t for t in threading.enumerate() if t not in before]
-        names = sorted(t.name for t in started)
-        assert names.count("model-updater") == 1
-        assert set(names) == set(THREAD_NAMES)
+        # no thread for the model: the servo drives the one child itself
+        assert sorted(t.name for t in started) == sorted(THREAD_NAMES)
+        assert len(multiprocessing.active_children()) == 1
     alive = [t.name for t in started if t.is_alive()]
     assert alive == []
 
@@ -143,7 +153,7 @@ def test_missing_robot_description_fails_before_start(tmp_path):
 # -- cycle behavior -----------------------------------------------------------------
 
 def test_busy_model_worker_never_blocks_cycle():
-    ctl = build_pend(worker_delay=lambda: 0.25)
+    ctl = build_pend(hooks=delayed(lambda: 0.25))
     with ctl:
         ctl.start()
         latencies = []
@@ -152,7 +162,7 @@ def test_busy_model_worker_never_blocks_cycle():
             ctl.clock.tick()
             latencies.append(ctl.clock.now()
                              - ctl.runtime.last_model_swap_time)
-        # the worker is still sleeping: no swaps, staleness grows by a period
+        # the child is still sleeping: no swaps, staleness grows by a period
         # every cycle, and the servo never waited on it
         assert ctl.runtime.stats.model_swaps == 0
         assert latencies == sorted(latencies)
@@ -174,9 +184,9 @@ def test_nan_command_suppressed_and_error_published():
 
 
 def test_staleness_bound_under_lockstep():
-    # worker delays below one period: the active model is swapped at most
+    # model round delays below one period: the active model is swapped at most
     # two periods after the state it was computed from was read
-    ctl = build_pend(worker_delay=lambda: 0.002, frequency=100)
+    ctl = build_pend(hooks=delayed(lambda: 0.002), frequency=100)
     with ctl:
         ctl.start()
         worst = 0.0
@@ -227,45 +237,122 @@ def test_every_command_uses_one_update_epoch(robot):
         assert stats.servo_blocking_acquires == 0
 
 
-def run_two_stagings_before_a_round():
-    """Stages twice while the model worker waits at its gate, after its
-    first trigger: the second trigger asks for a round that would overwrite
-    the first round's reply before the servo swapped it in.  Returns
-    (whether staging was refused while that reply waited, the lost-update
-    count after the swap, the swapped reply's sequence step)."""
-    arrived = threading.Event()
-    gate = threading.Event()
+PUBLISHER_YIELD = "wbosc.transports.PublisherWorker.enqueue"
+
+
+class ModelIO:
+    """Records each call the servo thread makes through which it could wait
+    on the model process or hand the GIL over: the reply reader's polls
+    (timeout, whether bytes were ready) and reads, ``Connection.recv``,
+    ``time.sleep``, and each request sent (whether one was in flight)."""
+
+    def __init__(self, monkeypatch, runtime):
+        self.calls = calls = []
+        servo = threading.get_ident()
+        process = runtime.model_process
+        poller = process.reader._poller
+        read, recv, sleep, send = (os.read, multiprocessing.connection
+                                   .Connection.recv, time.sleep, process.send)
+
+        def record(call):
+            if threading.get_ident() == servo:
+                calls.append(call)
+
+        class Poller:
+            def poll(self, timeout):
+                events = poller.poll(timeout)
+                record(("poll", timeout, bool(events)))
+                return events
+
+        def recording_read(fd, n):
+            record(("read",))
+            return read(fd, n)
+
+        def recording_recv(conn):
+            record(("recv",))
+            return recv(conn)
+
+        def recording_sleep(seconds):
+            caller = sys._getframe(1)
+            record(("sleep", seconds, f"{caller.f_globals['__name__']}."
+                                      f"{caller.f_code.co_qualname}"))
+            sleep(seconds)
+
+        def recording_send(*args):
+            record(("send", runtime._in_flight))
+            send(*args)
+
+        monkeypatch.setattr(process.reader, "_poller", Poller())
+        monkeypatch.setattr(os, "read", recording_read)
+        monkeypatch.setattr(multiprocessing.connection.Connection, "recv",
+                            recording_recv)
+        monkeypatch.setattr(time, "sleep", recording_sleep)
+        monkeypatch.setattr(process, "send", recording_send)
+
+    def count(self, kind):
+        return sum(call[0] == kind for call in self.calls)
+
+    def waits(self):
+        """The calls that could have waited on the model process: any recv,
+        any sleep but the publisher's own hand-off (see
+        ``PublisherWorker``), a poll with a timeout, a read not right after
+        a poll that found bytes ready, and a request sent while another was
+        in flight."""
+        waits = []
+        previous = None
+        for call in self.calls:
+            if call[0] == "recv" \
+                    or call[0] == "sleep" and call[2] != PUBLISHER_YIELD \
+                    or call[0] == "poll" and call[1] != 0 \
+                    or call[0] == "read" and previous != ("poll", 0, True) \
+                    or call == ("send", True):
+                waits.append(call)
+            previous = call
+        return waits
+
+
+def run_two_stagings_before_a_round(monkeypatch):
+    """Stages again while the model process waits at its seam with the
+    first request, so a second round is due while the first is in flight.
+    Returns (whether the later stagings were skipped and sent nothing, the
+    lost-update count after the swap, the swapped reply's sequence step)."""
+    fork = multiprocessing.get_context("fork")
+    arrived = fork.Event()
+    gate = fork.Event()
 
     def hold():
         arrived.set()
         gate.wait(5.0)
 
     ctl = build_pend(interface=FrozenInterface(1, position=[0.2]),
-                     hooks=ServoHooks(model_worker_gate=hold))
+                     hooks=ServoHooks(model_round=hold))
     with ctl:
         ctl.start()
         runtime = ctl.runtime
+        io = ModelIO(monkeypatch, runtime)
         try:
             first = runtime.active.seq
-            ctl.run(cycles=1)
+            ctl.run(cycles=1)           # sends the first request
             assert arrived.wait(5.0)
-            ctl.run(cycles=1)           # the second trigger
+            skips = runtime.stats.staging_skips
+            ctl.run(cycles=3)           # the child is held at its seam
+            refused = io.count("send") == 1 \
+                and runtime.stats.staging_skips == skips + 3 \
+                and runtime.stats.model_swaps == 0
+            assert io.waits() == []
         finally:
             gate.set()
         assert runtime.wait_idle()
-        assert runtime.model_worker.rounds == 2
-        assert runtime.buffers.update_ready
-        skips = runtime.stats.staging_skips
-        refused = not runtime._stage_model_update(ctl.interface.read()) \
-            and runtime.stats.staging_skips == skips + 1
+        del io.calls[:]                 # wait_idle waits, outside the cycle
         result = runtime.servo_update()
         assert result.model_swapped
+        assert io.waits() == []
         return refused, runtime.stats.lost_task_updates, \
             runtime.active.seq - first
 
 
-def test_a_waiting_reply_is_never_overwritten():
-    refused, lost, step = run_two_stagings_before_a_round()
+def test_a_waiting_reply_is_never_overwritten(monkeypatch):
+    refused, lost, step = run_two_stagings_before_a_round(monkeypatch)
     assert refused
     assert lost == 0
     assert step == 1
@@ -287,24 +374,27 @@ def test_frozen_state_multi_single_equivalence():
                 ctl.runtime.servo_update()
                 ctl.clock.tick()
                 if not mode:
-                    time.sleep(0.001)   # let the workers converge
+                    time.sleep(0.001)   # let the model process converge
             commands[mode] = iface.last_effort
     assert np.abs(commands[True] - commands[False]).max() < 1e-12
 
 
 # -- stress (short version; the acceptance suite runs the long one) ---------------------
 
-def test_randomized_stress_no_blocking_no_losses():
+def test_randomized_stress_no_blocking_no_losses(monkeypatch):
     rng = np.random.default_rng(0)
     iface = FrozenInterface(1)
     ctl = build_pend(interface=iface,
-                     worker_delay=lambda: float(rng.uniform(0.0, 0.0004)))
+                     hooks=delayed(lambda: float(rng.uniform(0.0, 0.0004))))
     with ctl:
         ctl.start()
+        io = ModelIO(monkeypatch, ctl.runtime)
         first = ctl.runtime.active.seq
         for _ in range(3000):
             ctl.runtime.servo_update()
             ctl.clock.tick()
+        assert io.waits() == []
+        assert io.count("read") > 0
         assert ctl.runtime.stats.servo_blocking_acquires == 0
         assert ctl.runtime.stats.lost_task_updates == 0
         assert ctl.runtime.stats.model_swaps > 0
@@ -325,7 +415,7 @@ def test_phase_stats_recorded():
         assert 0.0 <= median <= p99
 
 
-# -- reuse of the effort, yielding, and goals between model swaps ---------------------
+# -- reuse of the effort, the GIL, and goals between model swaps ---------------------
 
 def record_yields(monkeypatch):
     """Counts time.sleep(0) calls made by this (the servo) thread."""
@@ -351,19 +441,19 @@ def test_single_threaded_recomputes_every_cycle(monkeypatch, ladder_calls):
             ctl.run(cycles=1)
             # a publisher more than BEHIND entries behind is handed the GIL
             # by enqueue, a yield of its own; draining it between cycles
-            # leaves only the servo's quiet-cycle yield to count
+            # leaves any other yield to count
             assert ctl.publisher.flush()
     assert len(ladder_calls) == 20
     assert yields == []
 
 
-def held_model_worker():
-    """A multi-threaded pend1 controller whose model worker waits at its
-    gate until the returned event is set: no model is ever swapped."""
-    gate = threading.Event()
+def held_model_process():
+    """A multi-threaded pend1 controller whose model process waits at its
+    seam until the returned event is set: no model is ever swapped."""
+    gate = multiprocessing.get_context("fork").Event()
     iface = FrozenInterface(1, position=[0.2])
     ctl = build_pend(interface=iface,
-                     hooks=ServoHooks(model_worker_gate=lambda: gate.wait(5.0)))
+                     hooks=ServoHooks(model_round=lambda: gate.wait(5.0)))
     return ctl, iface, gate
 
 
@@ -378,7 +468,7 @@ def run_until(ctl, done, cycles=2000):
 
 
 def test_goal_reaches_command_without_model_swap():
-    ctl, iface, gate = held_model_worker()
+    ctl, iface, gate = held_model_process()
     with ctl:
         try:
             ctl.start()
@@ -389,7 +479,7 @@ def test_goal_reaches_command_without_model_swap():
             assert result.goals_updated and not result.suppressed
             assert not np.array_equal(iface.last_effort, before)
             assert ctl.runtime.stats.model_swaps == 0
-            assert not ctl.runtime.model_worker.idle()
+            assert not ctl.runtime.wait_idle(timeout=0)   # still held
         finally:
             gate.set()
 
@@ -409,14 +499,14 @@ INPUTS = {
 
 @pytest.mark.parametrize("kind", INPUTS)
 def test_input_is_in_the_command_of_the_cycle_that_drains_it(kind):
-    """Multi-threaded with the model worker held, so nothing is swapped,
+    """Multi-threaded with the model process held, so nothing is swapped,
     against single-threaded at the same frozen state: the input staged
     before a cycle is in that cycle's command in both."""
     name, change = INPUTS[kind]
-    gate = threading.Event()
+    gate = multiprocessing.get_context("fork").Event()
     multi = build_dreamer(
         config="dreamer22_disassembly", interface=FrozenInterface(16, POSE),
-        hooks=ServoHooks(model_worker_gate=lambda: gate.wait(5.0)))
+        hooks=ServoHooks(model_round=lambda: gate.wait(5.0)))
     single = build_dreamer(config="dreamer22_disassembly",
                            interface=FrozenInterface(16, POSE),
                            single_threaded=True)
@@ -474,23 +564,25 @@ def test_refused_input_is_skipped_and_the_loop_keeps_cycling(case,
     assert [w for w in warnings if w.startswith(f"input {name!r} refused")]
 
 
-def test_reused_cycles_yield_to_a_running_worker(monkeypatch, ladder_calls):
-    ctl, iface, gate = held_model_worker()
+def test_quiet_cycles_reuse_the_effort_and_never_sleep(monkeypatch,
+                                                      ladder_calls):
+    ctl, iface, gate = held_model_process()
     with ctl:
         try:
             ctl.start()
-            ctl.run(cycles=1)       # stages a model round: the worker waits
+            ctl.run(cycles=1)       # sends a request: the child waits
             del ladder_calls[:]
-            yields = record_yields(monkeypatch)
+            io = ModelIO(monkeypatch, ctl.runtime)
             quiet = 0
             for _ in range(10):
-                before = len(yields)
+                before = len(io.calls)
                 result = ctl.runtime.servo_update()
                 ctl.clock.tick()
                 if not (result.goals_updated or result.model_swapped):
                     quiet += 1
-                    assert len(yields) == before + 1
-            assert quiet and len(yields) == quiet
+                    # one poll that finds nothing, and no sleep
+                    assert io.calls[before:] == [("poll", 0, False)]
+            assert quiet and io.count("sleep") == 0
             # a quiet cycle reuses the last effort
             assert len(ladder_calls) == 10 - quiet
         finally:
@@ -501,9 +593,9 @@ GIL_RELEASING = ((np, "dot"), (np.linalg, "norm"), (np.linalg, "svd"),
                  (np.linalg, "eigh"))
 
 
-def test_quiet_cycle_hands_the_gil_over_only_at_its_yield(monkeypatch,
-                                                          ladder_calls):
-    ctl, iface, gate = held_model_worker()
+def test_quiet_cycle_hands_the_gil_over_only_at_its_poll(monkeypatch,
+                                                         ladder_calls):
+    ctl, iface, gate = held_model_process()
     runtime = ctl.runtime
     servo = threading.get_ident()
     releasing = []
@@ -522,7 +614,7 @@ def test_quiet_cycle_hands_the_gil_over_only_at_its_yield(monkeypatch,
     with ctl:
         try:
             ctl.start()
-            ctl.run(cycles=1)       # stages a model round: the worker waits
+            ctl.run(cycles=1)       # sends a request: the child waits
             assert ctl.publisher.flush()
             for values in received.values():
                 del values[:]
@@ -536,11 +628,13 @@ def test_quiet_cycle_hands_the_gil_over_only_at_its_yield(monkeypatch,
                 enqueue(sink, topic, value, owner)
 
             monkeypatch.setattr(ctl.publisher, "enqueue", counting_enqueue)
-            yields = record_yields(monkeypatch)
+            io = ModelIO(monkeypatch, runtime)
             expected = {topic: [] for topic in received}
             cycles = 50
             for k in range(1, cycles + 1):
+                before = len(io.calls)
                 result = runtime.servo_update()
+                calls = io.calls[before:]
                 idx = result.cycle % runtime._history_len
                 now = ctl.clock.now()
                 for topic, value in zip(runtime._diagnostics_topics, (
@@ -551,7 +645,13 @@ def test_quiet_cycle_hands_the_gil_over_only_at_its_yield(monkeypatch,
                     expected[topic].append(value)
                 ctl.clock.tick()
                 assert not (result.goals_updated or result.model_swapped)
-                assert len(yields) == len(enqueued) == k
+                # the cycle's only GIL hand-off: a poll that found nothing
+                assert calls == [("poll", 0, False)]
+                assert len(enqueued) == k
+                # a publisher more than BEHIND entries behind is handed the
+                # GIL by enqueue, a yield of its own; drained between
+                # cycles, it never is
+                assert ctl.publisher.flush()
             assert ladder_calls == []       # every cycle reused the effort
             assert releasing == []
             assert enqueued == [runtime._diagnostics_topics] * cycles
@@ -583,7 +683,7 @@ def test_nan_task_suppressed_every_cycle_and_last_command_held():
         assert ctl.runtime.stats.suppressed_commands >= 51
 
 
-# -- worker failures ---------------------------------------------------------------
+# -- update failures ---------------------------------------------------------------
 
 def run_until_error(ctl, errors, prefix, cycles=2000):
     for _ in range(cycles):
@@ -634,32 +734,33 @@ def test_task_update_failure_publishes_and_updates_keep_landing(
 
 
 def test_model_update_failure_publishes_and_swaps_nothing():
-    ctl = build_pend(interface=FrozenInterface(1, position=[0.2]))
+    broken = multiprocessing.get_context("fork").Event()
+
+    def model_round():
+        if broken.is_set():
+            raise RuntimeError("joint state out of range")
+
+    ctl = build_pend(interface=FrozenInterface(1, position=[0.2]),
+                     hooks=ServoHooks(model_round=model_round))
     errors = []
     with ctl:
         ctl.start()
         ctl.bus.subscribe("pend/diagnostics/errors", errors.append)
         ctl.run(cycles=5)
-
-        def broken(q_act, qd_act, stamp):
-            raise RuntimeError("joint state out of range")
-
-        for servo_model in (ctl.runtime.buffers.active,
-                            ctl.runtime.buffers.inactive):
-            servo_model.update = broken
+        broken.set()        # every later round in the child raises
         # a round that began before the break may still land once
         assert ctl.runtime.wait_idle()
         ctl.run(cycles=1)
         swaps = ctl.runtime.stats.model_swaps
-        rounds = ctl.runtime.model_worker.rounds
         assert run_until_error(ctl, errors, "model update failed")
         assert "model update failed: joint state out of range" in errors
         ctl.run(cycles=50)
         assert ctl.runtime.wait_idle()
         ctl.run(cycles=1)
         assert ctl.runtime.stats.model_swaps == swaps
-        assert not ctl.runtime.buffers.update_ready
-        assert ctl.runtime.model_worker.rounds > rounds
+        # the servo kept sending rounds, and each one failed
+        assert ctl.flush()
+        assert errors.count("model update failed: joint state out of range") > 1
 
 
 # -- the model process ----------------------------------------------------------------
@@ -678,8 +779,33 @@ def test_second_start_raises_and_starts_nothing():
         assert [p.pid for p in multiprocessing.active_children()] \
             == [process.pid]
         names = [t.name for t in threading.enumerate() if t not in before]
-        assert names.count("model-updater") == 1
+        assert names == ["publisher"]
         ctl.run(cycles=5)
+
+
+def test_reply_reader_takes_only_bytes_already_there():
+    parent, child = socket.socketpair()
+    with parent, child:
+        reader = ReplyReader(parent.fileno())
+        message = {"arrays": bytes(40_000)}
+        body = pickle.dumps(message)
+        half = len(body) // 2
+        assert len(body) > 16384    # sent as a header and a body write
+        child.sendall(struct.pack("!i", len(body)) + body[:half])
+        # a reader that waits for the rest is released after 2 s, and fails
+        rest = threading.Timer(2.0, child.sendall, [body[half:]])
+        rest.start()
+        started = time.perf_counter()
+        whole = reader.ready()
+        waited = time.perf_counter() - started
+        rest.cancel()
+        assert not whole and waited < 0.5
+        child.sendall(body[half:])
+        assert reader.ready()
+        assert reader.take() == message
+        child.close()
+        with pytest.raises(ServoError, match="the model process has exited"):
+            reader.ready()
 
 
 def assert_exited(pid):
@@ -735,7 +861,6 @@ def assert_model_failure_is_contained(ctl, iface, errors, expected):
     assert runtime.wait_idle()
     ctl.run(cycles=1)
     swaps = runtime.stats.model_swaps
-    rounds = runtime.model_worker.rounds
     cycles = runtime.cycle_count
     assert run_until_error(ctl, errors, "model update failed")
     assert f"model update failed: {expected}" in errors
@@ -743,8 +868,9 @@ def assert_model_failure_is_contained(ctl, iface, errors, expected):
     assert runtime.wait_idle()
     ctl.run(cycles=1)
     assert runtime.stats.model_swaps == swaps
-    assert not runtime.buffers.update_ready
-    assert runtime.model_worker.rounds > rounds
+    # the servo kept reaching the model process, and each round failed
+    assert ctl.flush()
+    assert errors.count(f"model update failed: {expected}") > 1
     assert runtime.cycle_count > cycles + 50
     assert runtime.stats.servo_blocking_acquires == 0
     assert np.isfinite(iface.last_effort).all()
