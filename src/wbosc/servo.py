@@ -456,20 +456,19 @@ class ServoRuntime:
 
     def _stage_model_update(self, state):
         """Send the latest joint state to the model process, unless a
-        request is in flight.  Returns whether it sent one."""
+        request is in flight."""
         if self._in_flight:
             self.stats.staging_skips += 1
-            return False
+            return
         stamp = self.clock.now()
         try:
             self.model_process.send(state.position, state.velocity, stamp,
                                     self._inactive.constraints.constraints)
         except ServoError as exc:
             self._model_failed(exc)
-            return False
+            return
         self._staged_stamp = stamp
         self._in_flight = True
-        return True
 
     def _update_goals(self):
         """Goal halves against the active copy: every enabled task after an

@@ -322,7 +322,8 @@ class Orientation2DTask(Task):
         """Rows b1 and b2 = heading x b1, in scalar arithmetic: numpy calls
         on 3-vectors cost more than the arithmetic."""
         hx, hy, hz = heading.tolist()
-        x, y, z = -hz * hx, -hz * hy, 1.0 - hz * hz     # z minus its heading
+        # world z less its part along the heading, else world x
+        x, y, z = -hz * hx, -hz * hy, 1.0 - hz * hz
         norm = math.sqrt(x * x + y * y + z * z)
         if norm < 1e-6:
             x, y, z = 1.0 - hx * hx, -hx * hy, -hx * hz
