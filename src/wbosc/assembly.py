@@ -1,7 +1,7 @@
 """Controller assembly: from (robot description, controller spec) to a
 running servo loop with parameters, bindings, events, plant, and services.
 
-The assembled object owns every moving part: the double-buffered model pair,
+The assembled object owns every moving part: the controller's model copy,
 task and constraint instances built from the spec, the parameter registry
 and transports, the simulated plant behind a robot interface, the servo
 runtime, and the introspection service table.
@@ -168,28 +168,23 @@ class AssembledController:
 
         self.clock = clock or make_clock(fw.servo_clock_type, fw.servo_frequency)
 
-        # model pair, tasks, constraints -------------------------------------
-        models = (RobotModel(self.description), RobotModel(self.description))
+        # model, tasks, constraints -------------------------------------------
+        model = RobotModel(self.description)
         enabled_constraints = {e.name: e.enabled for e in spec.constraint_set}
-        # one object per constraint, shared by both copies' sets, so that a
-        # parameter set at runtime reaches both
         constraints = []
         for cspec in spec.constraints:
             constraint = build_constraint(cspec)
             constraint.enabled = enabled_constraints.get(cspec.name, True)
             constraints.append(constraint)
-        pairs = [ServoModel(m, ConstraintSet(constraints)) for m in models]
-        self.model_pair = tuple(pairs)
+        self.servo_model = ServoModel(model, ConstraintSet(constraints))
 
-        posture_goal = self._posture_goal(spec, models[0].n_joints)
+        posture_goal = self._posture_goal(spec, model.n_joints)
         if initial_posture is not None:
             posture_goal = np.asarray(initial_posture, dtype=float)
         self._initial_posture = posture_goal
-        q0 = models[0].full_from_actual(posture_goal)
-        for m in models:
-            m.update_kinematics(q0, np.zeros(m.n_dofs))
-        for pair in pairs:
-            pair.constraints.update(pair.model)
+        model.update_kinematics(model.full_from_actual(posture_goal),
+                                np.zeros(model.n_dofs))
+        self.servo_model.constraints.update(model)
 
         self.registry = ParameterRegistry()
         self.compound = CompoundTask()
@@ -197,7 +192,7 @@ class AssembledController:
         enabled = {e.name: e.enabled for e in spec.compound}
         self.tasks = {}
         for tspec in spec.tasks:
-            task = build_task(tspec, models[0])
+            task = build_task(tspec, model)
             task.declare_parameters(self.registry)
             self.tasks[tspec.name] = task
             if tspec.name in priorities:
@@ -209,15 +204,14 @@ class AssembledController:
             self.registry.add_event(espec.name, espec.expression)
 
         # controller -----------------------------------------------------------
-        names = models[0].ordering.real_joint_names
+        names = model.ordering.real_joint_names
         mask = np.array([n in fw.gravity_compensation_mask for n in names])
         controller_cls = CONTROLLER_TYPES[fw.whole_body_controller_type]
         if controller_cls is WboscImpedance:
-            self.wbc = WboscImpedance(models[0].n_dofs, models[0].n_joints,
+            self.wbc = WboscImpedance(model.n_dofs, model.n_joints,
                                       gravity_mask=mask)
         else:
-            self.wbc = Wbosc(models[0].n_dofs, models[0].n_joints,
-                             gravity_mask=mask)
+            self.wbc = Wbosc(model.n_dofs, model.n_joints, gravity_mask=mask)
         try:
             self.limits = JointLimits(self.description, names, LimitFlags(
                 effort=fw.enforce_effort_limits,
@@ -269,7 +263,7 @@ class AssembledController:
             self.publisher.enqueue(self.bus.publish_each, topics, values)
 
         self.runtime = ServoRuntime(
-            self.name, self.model_pair, self.compound, self.wbc,
+            self.name, self.servo_model, self.compound, self.wbc,
             self.interface, self.clock, registry=self.registry,
             publish=publish, limits=self.limits,
             single_threaded=single_threaded, hooks=hooks, history=history)
@@ -289,12 +283,11 @@ class AssembledController:
         weld = None
         transmissions = []
         contacts = []
-        proto = RobotModel(self.description)
+        model = self.servo_model.model
         root = self.description.root_link_name
+        enabled = {e.name: e.enabled for e in self.spec.constraint_set}
         for cspec in self.spec.constraints:
-            enabled = {e.name: e.enabled for e in self.spec.constraint_set} \
-                .get(cspec.name, True)
-            if not enabled:
+            if not enabled.get(cspec.name, True):
                 continue
             if cspec.type == "CoactuationConstraint":
                 transmissions.append(Transmission(
@@ -311,7 +304,7 @@ class AssembledController:
                 contacts.append((cspec.parameters["link"],
                                  np.asarray(cspec.parameters.get(
                                      "point", (0, 0, 0)), dtype=float)))
-        if proto.ordering.virtual_indices and weld is None:
+        if model.ordering.virtual_indices and weld is None:
             raise AssemblyError(
                 "floating-base robot needs a flat contact constraint on the "
                 "base link (free-floating simulation is not supported)")
@@ -329,7 +322,7 @@ class AssembledController:
             return FreerunSimInterface(self.plant, period,
                                        noise=noise_spec, seed=seed).start()
         if kind == "udp-remote":
-            return _UdpRemoteInterface(self, proto.n_joints)
+            return _UdpRemoteInterface(self, model.n_joints)
         raise AssemblyError(f"unknown robot_interface_type {kind!r}")
 
     # -- lifecycle / control surface ----------------------------------------------
@@ -371,7 +364,7 @@ class AssembledController:
             elif action.kind == "set_priority":
                 self.compound.set_priority(action.name, action.priority)
             elif action.kind in ("enable_constraint", "disable_constraint"):
-                self.model_pair[0].constraints.constraint(action.name) \
+                self.servo_model.constraints.constraint(action.name) \
                     .enabled = action.kind == "enable_constraint"
             else:
                 raise AssemblyError(f"unknown action {action.kind!r}")
@@ -384,10 +377,10 @@ class AssembledController:
         return getattr(self, "_svc_" + service)(args or {})
 
     def _svc_getRealJointIndices(self, args):
-        return {"joints": list(self.model_pair[0].model.ordering.real_joint_names)}
+        return {"joints": list(self.servo_model.model.ordering.real_joint_names)}
 
     def _svc_getActuableJointIndices(self, args):
-        ordering = self.model_pair[0].model.ordering
+        ordering = self.servo_model.model.ordering
         return {"joints": [ordering.real_joint_names[i - len(ordering.virtual_indices)]
                            for i in ordering.actuated_indices]}
 
@@ -408,7 +401,7 @@ class AssembledController:
 
     def _svc_getConstraintParameters(self, args):
         out = []
-        for constraint in self.model_pair[0].constraints.constraints:
+        for constraint in self.servo_model.constraints.constraints:
             params = {}
             prefix = constraint.name + "."
             for full, param in self.registry.items():
@@ -423,7 +416,7 @@ class AssembledController:
                      "enabled": e.task.enabled}
                     for e in self.compound.entries]
         cset = [{"name": c.name, "type": c.type_name, "enabled": c.enabled}
-                for c in self.model_pair[0].constraints.constraints]
+                for c in self.servo_model.constraints.constraints]
         return {"compound_task": compound, "constraint_set": cset}
 
     def _svc_getConstraintJacobianMatrices(self, args):

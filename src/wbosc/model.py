@@ -103,8 +103,8 @@ class RobotModel:
     """Kinematic/dynamic state for one configuration of a robot description.
 
     Call :meth:`update_kinematics` before reading any configuration-dependent
-    quantity.  Instances are single-writer: the servo runtime owns an
-    active/inactive pair and this class makes no cross-thread guarantees.
+    quantity.  Instances are single-writer: the servo thread writes the
+    servo runtime's copy, and this class makes no cross-thread guarantees.
     """
 
     def __init__(self, description: RobotDescription):

@@ -3,21 +3,22 @@
 Execution model
 ---------------
 Multi-threaded mode runs one servo thread and one child process.  The parent
-process owns the servo executor (whoever calls servo_update), both model
-copies and the publisher.  A model copy (ServoModel) is one update epoch: the
+process owns the servo executor (whoever calls servo_update), one model copy
+and the publisher.  The model copy (ServoModel) is one update epoch: the
 model, its constraint set and the state half of every compound task against
 that model (see ``tasks``).
 
 The update passes run in the child, a ModelProcess forked by servo_init
-once both copies are primed; it owns a fork-time copy of one ServoModel.
-The servo thread is its only client and never waits on it.  At staging, with
+once the parent's copy is primed; it owns a fork-time copy of it.  The
+servo thread is its only client and never waits on it.  At staging, with
 no request in flight, the servo sends the joint state and the parent's
 constraint objects; with one in flight it counts a staging skip.  The child
 updates its copy and every task's state half and sends one reply.  At each
 check the servo reads only the reply bytes already in the pipe
 (``ReplyReader``); the check that completes the reply copies it into the
-inactive copy and swaps.  So a swap installs a model and task states of one
-epoch, and the update passes never hold the parent's GIL.  The child is
+parent's copy, in place, between two cycles' reads of it.  So a copy-in
+installs a model and task states of one epoch, and the update passes never
+hold the parent's GIL.  The child is
 forked rather than spawned because a fresh interpreter importing wbosc
 takes longer than a whole set-up; it is forked after the publisher thread
 has started, which is why it touches only numpy, its copy and its pipe:
@@ -27,19 +28,18 @@ the child before the caller closes the UDP socket, whose descriptor it
 inherits.
 
 One servo cycle: apply staged inputs, read robot state, check for a whole
-reply (swap it in), stage joint state for the child when no request is in
-flight, run the task goal halves when due, compute the command from the
-active copy, emit events, write, publish diagnostics.
+reply (copy it in), stage joint state for the child when no request is in
+flight, run the task goal halves when due, compute the command, emit
+events, write, publish diagnostics.
 
 A task's goal half (error, PID command, the ``error`` parameter) runs on the
-servo thread against the active copy's task state, for the enabled tasks,
-in a cycle that swapped or whose parameter drain applied an input (a goal,
-gain or enable flag).  So an input drained in cycle k is in cycle k's
-command with no request to the child, and the PID integrator stays in the
-parent.  The controller reuses its last effort while the active copy, each
-task's goal-half version and the enabled/priority configuration are
-unchanged (see ``Wbosc.compute``), so any other cycle does almost no numpy
-work.
+servo thread, for an enabled task whose state is fresh (``TaskState``) or
+in a cycle whose parameter drain applied an input (a goal, gain or enable
+flag).  So an input drained in cycle k is in cycle k's command with no
+request to the child, and the PID integrator stays in the parent.  The
+controller reuses its last effort while the model, each task's goal-half
+version and the enabled/priority configuration are unchanged (see
+``Wbosc.compute``), so any other cycle does almost no numpy work.
 
 The rule: a quiet cycle's only GIL hand-off is the check's zero-timeout
 poll.  Every release lets another thread (the publisher, the UDP receiver)
@@ -58,8 +58,8 @@ the GIL at any size; ``svd`` from 6x6, ``eigh`` from 22x22, and 2-D ``@``,
 ufuncs on small arrays did not.
 
 Single-threaded mode replaces the check and staging with an inline update
-of the active copy and runs both task halves every cycle, so the effort is
-recomputed every cycle and nothing is forked.
+of the copy, which runs every task's state half, so every enabled goal half
+runs and the effort is recomputed every cycle; nothing is forked.
 """
 
 import multiprocessing
@@ -75,7 +75,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import CommandError, WboscImpedance, enforce_limits
-from .tasks import TaskState
 
 PHASES = ("read", "update_model", "compute_command", "emit_events", "write")
 # published every cycle under <name>/diagnostics/, in this order; the command
@@ -152,7 +151,7 @@ def make_clock(kind, frequency):
 class RuntimeStats:
     # no lock is left for the servo thread to acquire: stays 0
     servo_blocking_acquires: int = 0
-    lost_task_updates: int = 0      # gaps in the swapped reply sequence
+    lost_task_updates: int = 0      # gaps in the copied-in reply sequence
     model_swaps: int = 0
     staging_skips: int = 0          # stagings with a request in flight
     suppressed_commands: int = 0
@@ -166,13 +165,13 @@ class ServoHooks:
     #                                 round; an exception fails the round
 
 
-# -- model copies and the model process -------------------------------------------
+# -- the model copy and the model process -----------------------------------------
 
 class ServoModel:
     """One model copy, the constraint set derived from it, and the state
     half of every compound task against it: one update epoch.
 
-    ``tasks`` holds (task, TaskState) pairs, set by the runtime; ``seq``
+    ``tasks`` is the compound's task list, set by the runtime; ``seq``
     counts the updates made."""
 
     def __init__(self, model, constraint_set):
@@ -187,23 +186,25 @@ class ServoModel:
         self.model.update_kinematics(q_full, qd_full)
         self.model.stamp = stamp
         self.constraints.update(self.model)
-        for task, state in self.tasks:
-            task.update(self.model, state)
+        for task in self.tasks:
+            task.update(self.model)
         self.seq += 1
 
     def updated(self):
-        """What update wrote: the reply of a ModelProcess."""
+        """What update wrote, ending with ``seq``: the reply of a
+        ModelProcess."""
         return (self.model.updated(), self.constraints.updated(),
-                [state.updated() for _, state in self.tasks], self.seq)
+                [task.active_state.updated() for task in self.tasks],
+                self.model.stamp, self.seq)
 
-    def load_update(self, reply, stamp):
+    def load_update(self, reply):
         """Copy in a reply; the copy must have been primed by update."""
-        model_arrays, constraint_values, task_values, self.seq = reply
+        model_arrays, constraint_values, task_values, stamp, self.seq = reply
         self.model.load_update(model_arrays)
         self.model.stamp = stamp
         self.constraints.load_update(constraint_values)
-        for (_, state), flat in zip(self.tasks, task_values):
-            state.load_update(flat, stamp)
+        for task, flat in zip(self.tasks, task_values):
+            task.active_state.load_update(flat, stamp)
 
 
 class ReplyReader:
@@ -213,8 +214,13 @@ class ReplyReader:
     A Connection writes a 4-byte big-endian length and then the pickled
     body, in two writes once the body is over 16 KiB, so a ``recv`` after a
     ready ``poll`` can block between them.  ``ready`` reads only what a poll
-    found ready, into a buffer, until the header's length is in.  Messages
-    of 2 GiB or more (an 8-byte length) are not supported."""
+    found ready, into a buffer, until the header's length is in.  Until the
+    header is whole it asks for up to ``CHUNK`` bytes, so a message already
+    there comes in with one read: the peer sends one message per request,
+    so no later one can follow it.  Messages of 2 GiB or more (an 8-byte
+    length) are not supported."""
+
+    CHUNK = 65536
 
     def __init__(self, fd):
         self._fd = fd
@@ -223,8 +229,9 @@ class ReplyReader:
         self._buffer = bytearray()
 
     def _missing(self):
+        """Bytes to ask for next; 0 once the message is whole."""
         if len(self._buffer) < 4:
-            return 4 - len(self._buffer)
+            return self.CHUNK
         return 4 + struct.unpack_from("!i", self._buffer)[0] \
             - len(self._buffer)
 
@@ -252,7 +259,7 @@ class ReplyReader:
 class ModelProcess:
     """A forked child that runs ServoModel.update for the parent.
 
-    The child owns a fork-time copy of one primed ServoModel, its tasks
+    The child owns a fork-time copy of the primed ServoModel, its tasks
     included.  A request is the joint state, its stamp and the parent's
     constraint objects, so every constraint and runtime parameter change is
     live in the child; the reply is what the update wrote
@@ -335,14 +342,14 @@ class CycleResult:
 
 
 class ServoRuntime:
-    """Owns the servo loop state machine, the model copies and the model
+    """Owns the servo loop state machine, the model copy and the model
     process.
 
     ``publish(topics, values)`` hands values[i] for topics[i] off the servo
     thread as one unit, in order; ``limits`` is a JointLimits for the
     command, or None."""
 
-    def __init__(self, name, model_pair, compound, wbc, interface, clock,
+    def __init__(self, name, servo_model, compound, wbc, interface, clock,
                  registry=None, publish=None, limits=None,
                  single_threaded=False, hooks=None, history=2048):
         self.name = name
@@ -358,17 +365,12 @@ class ServoRuntime:
         self.single_threaded = single_threaded
         self.hooks = hooks or ServoHooks()
         self.stats = RuntimeStats()
-        self.active, self._inactive = model_pair
-        for servo_model in model_pair:
-            servo_model.tasks = tuple(
-                (task, TaskState(task.dimension, task.n_dofs))
-                for task in compound.tasks())
+        self.active = servo_model       # the parent's one copy
+        servo_model.tasks = compound.tasks()
         self.task_worker = None     # always None: the model process runs
         #                             the task state halves
         self.model_process = None
-        self._in_flight = False     # a request sent, its reply not swapped
-        self._staged_stamp = 0.0    # the in-flight request's stamp
-        self._swapped_seq = 0       # seq of the last copy swapped in
+        self._in_flight = False     # a request sent, its reply not copied in
         self._goals_due = False     # an applied input or a failed goal half
         self.cycle_count = 0
         self._initialized = False
@@ -381,7 +383,6 @@ class ServoRuntime:
         self._phase_history = np.zeros((n, history))
         self._compute_cpu = np.zeros(history)     # servo-thread CPU time
         self._cycle_latency = np.zeros(history)
-        self._frequency = np.zeros(history)
         self._snapshot_lock = threading.Lock()
         self._snapshot = {}
 
@@ -392,17 +393,15 @@ class ServoRuntime:
         return self.clock.period
 
     def servo_init(self):
-        """Blocking read, prime both model copies, fork the model process.
+        """Blocking read, prime the model copy, fork the model process.
         Runs once: a second call raises ServoError."""
         if self._initialized:
             raise ServoError("servo_init has already run")
         state = self.interface.read()
         now = self.clock.now()
-        for servo_model in (self.active, self._inactive):
-            servo_model.update(state.position, state.velocity, now)
-        self._swapped_seq = self.active.seq
-        for task, task_state in self.active.tasks:
-            task.update_goal(task_state, self.period)
+        self.active.update(state.position, state.velocity, now)
+        for task in self.active.tasks:
+            task.update_goal(self.period)
         self.last_model_swap_time = now
         if not self.single_threaded:
             self.model_process = ModelProcess(self.active,
@@ -422,16 +421,16 @@ class ServoRuntime:
     def __exit__(self, *exc):
         self.stop()
 
-    # -- the model process and the swap --------------------------------------------
+    # -- the model process and the copy-in ------------------------------------------
 
     def _model_failed(self, exc):
         self.publish("diagnostics/errors", f"model update failed: {exc}")
 
     def check_for_updates(self):
-        """Swap in a fresh model copy, with the task states of its epoch,
-        once the model process's whole reply is in.  Reads only bytes that
-        are already in the pipe, so it never waits.  Returns whether it
-        swapped."""
+        """Copy a fresh model, with the task states of its epoch, into the
+        parent's copy once the model process's whole reply is in.  Reads
+        only bytes that are already in the pipe, so it never waits.  Returns
+        whether it copied one in."""
         if not self._in_flight:
             return False
         reader = self.model_process.reader
@@ -445,13 +444,10 @@ class ServoRuntime:
         except ServoError as exc:
             self._model_failed(exc)
             return False
-        self._inactive.load_update(reply, self._staged_stamp)
-        self.active, self._inactive = self._inactive, self.active
+        self.stats.lost_task_updates += reply[-1] - self.active.seq - 1
+        self.active.load_update(reply)
         self.stats.model_swaps += 1
         self.last_model_swap_time = self.clock.now()
-        seq = self.active.seq
-        self.stats.lost_task_updates += seq - self._swapped_seq - 1
-        self._swapped_seq = seq
         return True
 
     def _stage_model_update(self, state):
@@ -460,28 +456,26 @@ class ServoRuntime:
         if self._in_flight:
             self.stats.staging_skips += 1
             return
-        stamp = self.clock.now()
         try:
-            self.model_process.send(state.position, state.velocity, stamp,
-                                    self._inactive.constraints.constraints)
+            self.model_process.send(state.position, state.velocity,
+                                    self.clock.now(),
+                                    self.active.constraints.constraints)
         except ServoError as exc:
             self._model_failed(exc)
             return
-        self._staged_stamp = stamp
         self._in_flight = True
 
     def _update_goals(self):
-        """Goal halves against the active copy: every enabled task after an
-        applied input, otherwise each enabled task whose active state is not
-        the active copy's (after a swap, that is every one).  Returns
-        whether any ran; a goal half that raises is a CommandError, and the
-        goal halves stay due until they all succeed."""
+        """Goal halves: every enabled task after an applied input,
+        otherwise each enabled task whose state is fresh (after a copy-in
+        or an inline update, that is every one).  Returns whether any ran;
+        a goal half that raises is a CommandError, and the goal halves stay
+        due until they all succeed."""
         ran = False
-        for task, state in self.active.tasks:
-            if task.enabled and (self._goals_due
-                                 or task.active_state is not state):
+        for task in self.active.tasks:
+            if task.enabled and (self._goals_due or task.active_state.fresh):
                 try:
-                    task.update_goal(state, self.period)
+                    task.update_goal(self.period)
                 except Exception as exc:
                     self._goals_due = True
                     raise CommandError(
@@ -517,7 +511,6 @@ class ServoRuntime:
             # the model and the task state halves, inline
             self.active.update(state.position, state.velocity, now)
             self.last_model_swap_time = now
-            self._goals_due = True
         else:
             result.model_swapped = self.check_for_updates()
             self._stage_model_update(state)
@@ -582,15 +575,16 @@ class ServoRuntime:
                                      t_write)):
             self._phase_history[row, idx] = value
         self._cycle_latency[idx] = total
+        frequency = 0.0
         if self._prev_cycle_start is not None:
             dt = now - self._prev_cycle_start
-            self._frequency[idx] = (1.0 / dt) if dt > 0 else 0.0
+            frequency = (1.0 / dt) if dt > 0 else 0.0
         self._prev_cycle_start = now
 
         model_latency = now - self.last_model_swap_time
         if self._publish is not None:
             # one queue entry for the cycle's diagnostics
-            values = (self._frequency[idx], total, model_latency,
+            values = (frequency, total, model_latency,
                       self.active.model.G.copy(), state.position.copy())
             topics = self._diagnostics_topics
             if command is not None:
@@ -637,7 +631,7 @@ class ServoRuntime:
 
     def wait_idle(self, timeout=2.0):
         """Block, outside the servo cycle, until the in-flight reply is
-        whole, so that the next cycle's check swaps it in; False on
+        whole, so that the next cycle's check copies it in; False on
         timeout.  A failed child counts as idle: the check reports it."""
         if not self._in_flight:
             return True

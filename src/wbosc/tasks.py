@@ -1,14 +1,13 @@
 """Task library: PID task-space control law, concrete task types, and the
 prioritized compound task.
 
-A task update has two halves.  The state half, ``Task.update(model,
-state)``, reads the model only: it writes the Jacobian, the current value,
-its rate ``J q̇`` and, for Orientation2DTask, the plane basis into a
-TaskState stamped with the model's stamp.  The goal half,
-``Task.update_goal(state, dt)``, writes the error and the PID command from
-the goals and gains and makes that state the task's ``active_state``.  The
-compound task row-stacks the active states of the enabled tasks at one
-priority level, in declaration order.
+A task update has two halves, both on the task's one TaskState,
+``active_state``.  The state half, ``Task.update(model)``, reads the model
+only: it writes the Jacobian, the current value, its rate ``J q̇`` and, for
+Orientation2DTask, the plane basis, stamped with the model's stamp.  The
+goal half, ``Task.update_goal(dt)``, writes the error and the PID command
+from the goals and gains.  The compound task row-stacks the states of the
+enabled tasks at one priority level, in declaration order.
 
 Binding surface (dot-namespaced by task name, case-sensitive): goalPosition,
 goalVelocity, goalAcceleration, goalOrientation, goalAngularVelocity,
@@ -80,10 +79,12 @@ class PIDController:
 
 class TaskState:
     """One task's state against one model snapshot: the state half writes
-    all but the error and the command, which the goal half writes."""
+    all but the error and the command, which the goal half writes.
+    ``fresh`` is set by the state half and ``load_update`` and cleared by
+    the goal half: the goal half has not yet seen this state."""
 
     __slots__ = ("jacobian", "current", "velocity", "basis", "model_stamp",
-                 "command", "error")
+                 "command", "error", "fresh")
 
     def __init__(self, dimension, n_dofs):
         self.jacobian = np.zeros((dimension, n_dofs))
@@ -91,6 +92,7 @@ class TaskState:
         self.model_stamp = 0.0
         self.command = np.zeros(dimension)
         self.error = np.zeros(dimension)
+        self.fresh = False
 
     def _arrays(self):
         return [a for a in (self.jacobian, self.current, self.velocity,
@@ -109,6 +111,7 @@ class TaskState:
             a[...] = flat[start:start + a.size].reshape(a.shape)
             start += a.size
         self.model_stamp = stamp
+        self.fresh = True
 
 
 class Task:
@@ -130,17 +133,20 @@ class Task:
         self.version = 0            # bumped by every goal half
         self._p_error = None
 
-    def update(self, model, state):
-        """State half: refresh ``state`` from a model snapshot.  Reads the
+    def update(self, model):
+        """State half: refresh the state from a model snapshot.  Reads the
         model and the task's fixed geometry only."""
+        state = self.active_state
         self._update_state(model, state)
         state.model_stamp = model.stamp
+        state.fresh = True
 
-    def update_goal(self, state, dt):
-        """Goal half: the error and the PID command from ``state`` and the
-        current goals and gains; ``state`` becomes the active state."""
+    def update_goal(self, dt):
+        """Goal half: the error and the PID command from the state and the
+        current goals and gains."""
+        state = self.active_state
         self._update_goal(state, dt)
-        self.active_state = state
+        state.fresh = False
         self.version += 1
         if self._p_error is not None:
             self._p_error.set(state.error.copy())

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,19 @@ from wbosc.description import load_description
 from wbosc.model import RobotModel
 
 FIXTURE_ROBOTS = ("pend1", "planar2", "dreamer22")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left_running():
+    """Fails a test that leaves a child process (a model process) running;
+    the children it left are ended first, so later tests start clean."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    if left:
+        pytest.fail(f"child processes left running: {left}")
 
 
 @pytest.fixture(scope="session")

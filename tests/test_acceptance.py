@@ -138,8 +138,7 @@ def test_criterion_02_jacobian_suite():
             J_fd = fd_map(model, q, lambda m: m.com()[0])
             worst = max(worst, rel_err(Jc, J_fd))
             # 2d orientation task rows against the frozen-plane heading map
-            state = ori2d.active_state
-            ori2d.update(model, state)
+            ori2d.update(model)
             B = ori2d.plane_basis(ori2d.heading(model))
             J2 = ori2d.active_state.jacobian.copy()
             J_fd = fd_map(model, q, lambda m: B @ ori2d.heading(m))
@@ -300,7 +299,7 @@ def run_tracking(latency_cycles):
         goal = ctl.registry.require("rightHandPosition.goalPosition").value \
             + np.array([0.0, 0.0, 0.10])
         ctl.bus.publish("goals/rightHand", goal)
-        names = ctl.model_pair[0].model.ordering.real_joint_names
+        names = ctl.servo_model.model.ordering.real_joint_names
         slave = names.index("torso_upper_pitch")
         master = names.index("torso_lower_pitch")
         worst_slip = 0.0

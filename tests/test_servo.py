@@ -15,7 +15,7 @@ import pytest
 
 from wbosc import fixtures
 from wbosc.assembly import build_from_files
-from wbosc.config import load_config
+from wbosc.config import ReconfigAction, load_config
 from wbosc.constraints import Constraint
 from wbosc.model import RobotState
 from wbosc.servo import (LockstepClock, MonotonicClock, ReplyReader,
@@ -531,6 +531,52 @@ def test_input_is_in_the_command_of_the_cycle_that_drains_it(kind):
             gate.set()
 
 
+# POSE with the right shoulder and elbow moved
+MOVED = POSE[:2] + [-0.1, -0.05, 0.0, -1.0] + POSE[6:]
+
+
+@pytest.mark.parametrize("swaps", [2, 3], ids=["even", "odd"])
+def test_task_enabled_again_runs_its_goal_half_on_the_latest_state(swaps):
+    """A hand task disabled while the arm moves and enabled again after
+    ``swaps`` model swaps: its error is against the state swapped in last,
+    whatever the parity of the swap count, and the command equals a
+    single-threaded controller's at the same states."""
+    efforts = {}
+    for single_threaded in (True, False):
+        iface = FrozenInterface(16, POSE)
+        ctl = build_dreamer(config="dreamer22_disassembly", interface=iface,
+                            single_threaded=single_threaded)
+        runtime = ctl.runtime
+
+        def cycle():
+            # each cycle after the first swaps in the previous one's reply
+            assert runtime.wait_idle()
+            ctl.run(cycles=1)
+
+        with ctl:
+            ctl.start()
+            for _ in range(3):
+                cycle()
+            ctl.apply_actions([ReconfigAction("disable_task",
+                                              "rightHandPosition")])
+            iface.state.position[:] = MOVED
+            first = runtime.stats.model_swaps
+            for _ in range(swaps - 1):
+                cycle()
+            ctl.apply_actions([ReconfigAction("enable_task",
+                                              "rightHandPosition")])
+            cycle()
+            if not single_threaded:
+                assert runtime.stats.model_swaps - first == swaps
+            task = ctl.tasks["rightHandPosition"]
+            state = task.active_state
+            np.testing.assert_array_equal(
+                state.error, task.goals["goalPosition"] - state.current)
+            efforts[single_threaded] = iface.last_effort
+    np.testing.assert_allclose(efforts[False], efforts[True], rtol=0,
+                               atol=1e-12)
+
+
 REFUSED = {
     "kp-length": ("posture.kp", [1.0, 2.0]),
     "kp-negative": ("posture.kp", [-1.0]),
@@ -633,12 +679,13 @@ def test_quiet_cycle_hands_the_gil_over_only_at_its_poll(monkeypatch,
             cycles = 50
             for k in range(1, cycles + 1):
                 before = len(io.calls)
+                previous = runtime._prev_cycle_start
                 result = runtime.servo_update()
                 calls = io.calls[before:]
                 idx = result.cycle % runtime._history_len
                 now = ctl.clock.now()
                 for topic, value in zip(runtime._diagnostics_topics, (
-                        runtime._frequency[idx], runtime._cycle_latency[idx],
+                        1.0 / (now - previous), runtime._cycle_latency[idx],
                         now - runtime.last_model_swap_time,
                         runtime.active.model.G, iface.state.position,
                         iface.last_effort)):
@@ -783,7 +830,7 @@ def test_second_start_raises_and_starts_nothing():
         ctl.run(cycles=5)
 
 
-def test_reply_reader_takes_only_bytes_already_there():
+def test_reply_reader_takes_only_bytes_already_there(monkeypatch):
     parent, child = socket.socketpair()
     with parent, child:
         reader = ReplyReader(parent.fileno())
@@ -802,6 +849,15 @@ def test_reply_reader_takes_only_bytes_already_there():
         assert not whole and waited < 0.5
         child.sendall(body[half:])
         assert reader.ready()
+        assert reader.take() == message
+        # a message already whole, header and body, comes in with one read
+        reads = []
+        read = os.read
+        monkeypatch.setattr(os, "read",
+                            lambda fd, n: reads.append(n) or read(fd, n))
+        child.sendall(struct.pack("!i", len(body)) + body)
+        assert reader.ready()
+        assert len(reads) == 1
         assert reader.take() == message
         child.close()
         with pytest.raises(ServoError, match="the model process has exited"):
@@ -882,8 +938,7 @@ def test_model_process_update_error_is_published():
     ctl = build_pend(interface=iface)
     offline = OfflineSensorConstraint("footSensor")
     offline.enabled = False
-    for servo_model in ctl.model_pair:
-        servo_model.constraints.add(offline)
+    ctl.servo_model.constraints.add(offline)
     errors = []
     with ctl:
         ctl.start()
@@ -916,7 +971,7 @@ def test_killed_model_process_is_published():
     assert multiprocessing.active_children() == []
 
 
-def test_constraint_parameters_reach_both_model_copies():
+def test_constraint_parameters_reach_the_model_process():
     posture = load_config(fixtures.read_config("dreamer22_posture")) \
         .task("posture").parameters["goalPosition"]
     multi = build_dreamer(interface=FrozenInterface(16, posture))
@@ -934,7 +989,7 @@ def test_constraint_parameters_reach_both_model_copies():
                                              value)
                 ctl.run(cycles=1)
             reference = single.runtime.last_result.command.effort
-            # each settled cycle swaps in the other copy, updated after the
+            # each settled cycle copies in a reply of a round sent after the
             # inputs were applied
             for _ in range(6):
                 assert multi.runtime.wait_idle()

@@ -13,10 +13,9 @@ DT = 1e-3
 
 def updated(task, model, dt=DT):
     """Both halves of a task update against ``model``."""
-    state = task.active_state
-    task.update(model, state)
-    task.update_goal(state, dt)
-    return state
+    task.update(model)
+    task.update_goal(dt)
+    return task.active_state
 
 
 # -- PID ----------------------------------------------------------------------
