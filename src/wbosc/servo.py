@@ -228,7 +228,7 @@ class ReplyReader:
         self._poller.register(fd, select.POLLIN)
         self._buffer = bytearray()
 
-    def _missing(self):
+    def _wanted(self):
         """Bytes to ask for next; 0 once the message is whole."""
         if len(self._buffer) < 4:
             return self.CHUNK
@@ -239,15 +239,15 @@ class ReplyReader:
         """Whether the whole message is in.  Each poll waits up to
         ``timeout`` ms, so with 0 this never waits; raises ServoError once
         the peer has closed its end."""
-        while self._missing() and self._poller.poll(timeout):
+        while self._wanted() and self._poller.poll(timeout):
             try:
-                chunk = os.read(self._fd, self._missing())
+                chunk = os.read(self._fd, self._wanted())
             except OSError:     # a peer killed with a request unread
                 chunk = b""
             if not chunk:
                 raise ServoError("the model process has exited")
             self._buffer += chunk
-        return not self._missing()
+        return not self._wanted()
 
     def take(self):
         """The whole message, unpickled; the buffer starts over."""
