@@ -152,8 +152,7 @@ class AssembledController:
     def __init__(self, description, spec, *, latency_cycles=0, noise=None,
                  seed=0, clock=None, interface=None, udp_port=None,
                  log_dir=None, single_threaded=None, hooks=None,
-                 history=2048, publisher_queue=1024,
-                 initial_posture=None):
+                 history=2048, initial_posture=None):
         self.spec = spec
         fw = spec.framework
         self.name = fw.name
@@ -237,7 +236,7 @@ class AssembledController:
         self.interface = interface
 
         self.bus = IntraBus()
-        self.publisher = PublisherWorker(maxlen=publisher_queue)
+        self.publisher = PublisherWorker()
         self.binding_manager = BindingManager()
         clock_fn = self.clock.now
         self.binding_manager.register_factory(

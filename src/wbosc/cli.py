@@ -7,10 +7,10 @@ import sys
 import numpy as np
 import yaml
 
-from .assembly import AssemblyError, ServiceError, build_from_files
-from .config import ConfigError
-from .description import DescriptionError
-from .servo import CYCLE_DIAGNOSTICS
+from .assembly import AssembledController, AssemblyError, ServiceError
+from .config import ConfigError, load_config_file
+from .description import DescriptionError, load_description_file
+from .servo import CYCLE_DIAGNOSTICS, make_clock
 from .spline import SplineError, TrajectorySpline
 from .transports import TransportError, UdpTransport
 
@@ -92,12 +92,13 @@ def _build(args, **extra):
                   seed=args.seed, log_dir=args.log_dir,
                   udp_port=args.udp_port)
     kwargs.update(extra)
-    ctl = build_from_files(args.config, args.robot, **kwargs)
+    description = load_description_file(args.robot)
+    spec = load_config_file(args.config)
     if args.clock is not None:
-        from .servo import make_clock
-        ctl.clock = make_clock(args.clock, ctl.spec.framework.servo_frequency)
-        ctl.runtime.clock = ctl.clock
-    return ctl
+        # bindings stamp and rate-limit on this clock, so it is built first
+        kwargs["clock"] = make_clock(args.clock,
+                                     spec.framework.servo_frequency)
+    return AssembledController(description, spec, **kwargs)
 
 
 def _attach_csv_logging(ctl):

@@ -26,11 +26,14 @@ gravity bias are compensated once, centrally, as UNcBar' (B + G), and an
 internal-force reference enters through Lstar', which produces no motion of
 the constrained system.
 
-The ladder is not evaluated level by level (see ``ladder_forces``): with
-Phi = L L' the projectors become orthogonal in the whitened coordinates
-J* L, and one QR decomposition of the whole priority-ordered stack carries
-every full-rank level, so the work per cycle follows the number of task
-rows, not the number of levels.
+With Phi = L L' the projectors become orthogonal in the whitened
+coordinates J* L, and one QR decomposition of the whole priority-ordered
+stack gives every level a common basis (see ``ladder_forces``).  The ladder
+then takes one of two paths.  When a norm bound proves every level above
+the last full rank and not covered, one block-triangular inverse carries
+them all and only the last level is projected on its own, so the work per
+cycle follows the number of task rows, not the number of levels.
+Otherwise every level is projected in turn in that basis.
 """
 
 from dataclasses import dataclass
@@ -80,25 +83,7 @@ class LimitFlags:
 
 # -- the priority ladder in whitened coordinates --------------------------------
 
-class _HeadBlocks:
-    """Sizes, a same-level mask and gather indices for the diagonal blocks
-    R[rows_j, rows_j] of every level but the last, for one task stack
-    layout.  Gathered blocks are zero-padded to a common size so that one
-    batched SVD serves them all."""
-
-    def __init__(self, starts):
-        m = int(starts[-1])
-        sizes = np.diff(starts)
-        i = np.arange(max(sizes[:-1].max(initial=0), 1))
-        # padding points at the all-zero last row and column of R_ext
-        self.index = np.where(i < sizes[:-1, None], starts[:-2, None] + i, m)
-        self.levels = np.arange(len(sizes) - 1)
-        self.sizes = sizes[:-1]
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        self.same_level = owner[:, None] == owner[None, :]
-
-
-def ladder_forces(Jw, xdd, starts, tol, blocks):
+def ladder_forces(Jw, xdd, starts, tol, same_level):
     """Task forces g of the priority ladder: tau_tasks = (J UNcBar)' g.
 
     Jw = J UNcBar L is the priority-ordered task stack in whitened
@@ -109,12 +94,14 @@ def ladder_forces(Jw, xdd, starts, tol, blocks):
     cover exactly the first starts[k] coordinates, so level k's projected
     rows are its diagonal block R[rows_k, rows_k]', and one inverse of the
     block triangular R[:head, :head] solves the whole run of such levels.
-    Whether the levels above the last qualify is settled from that inverse
-    when its norms prove it, otherwise from one batched SVD of their
-    diagonal blocks.  From the first level that is rank-deficient or
-    (nearly) fully covered, and always for the last level, the projection is
-    done level by level in the same basis (``project_levels``).  Returns g,
-    R and the levels' Frobenius norms.
+
+    So there are two paths.  When the norms of that inverse prove every
+    level above the last full rank and not covered, those levels take the
+    inverse and only the last level is projected on its own.  Otherwise
+    every level is projected in turn, in the same basis
+    (``project_levels``).  ``same_level`` marks the entries of R whose row
+    and column belong to one level (``TaskStack.same_level``).  Returns g, R
+    and the levels' Frobenius norms.
     """
     m = len(xdd)
     R = np.linalg.qr(Jw.T, mode="r")
@@ -125,18 +112,16 @@ def ladder_forces(Jw, xdd, starts, tol, blocks):
     frob = np.sqrt(np.add.reduceat(rows2, starts[:-1]))
     first = n_levels - 1
     head = int(starts[first])
-    inverse = _head_inverse(R, head, blocks) if head else None
+    inverse = _head_inverse(R, head, same_level) if head else None
     # Each diagonal block R_jj above the last level has s_min >= 1/|Dinv|_F,
     # and |Jw[:head]|_F bounds both its s_max and that of the level's
     # unprojected rows, so tol |Jw[:head]|_F |Dinv|_F < 1 proves every one
-    # of them full rank and not covered.  When it does not, exact singular
-    # values decide.
+    # of them full rank and not covered.  When it does not, every level is
+    # projected in turn.
     if head and (inverse is None
                  or tol ** 2 * rows2[:head].sum() * (inverse[1] ** 2).sum()
                  >= 1.0):
-        first = _first_deficient_level(R, frob, tol, blocks)
-        head = int(starts[first])
-        inverse = _head_inverse(R, head, blocks) if head else None
+        first = head = 0
 
     tail = project_levels(R, starts, frob, tol, first, np.eye(k)[:, head:])
     g = np.zeros(m)
@@ -155,7 +140,7 @@ def ladder_forces(Jw, xdd, starts, tol, blocks):
     return g, R, frob
 
 
-def _head_inverse(R, head, blocks):
+def _head_inverse(R, head, same_level):
     """(R_h^-1, its diagonal blocks) for the block upper triangular
     R_h = R[:head, :head]; the diagonal blocks of R_h^-1 are the inverses
     R_jj^-1 of those of R_h.  None when R_h is singular or not square."""
@@ -163,22 +148,7 @@ def _head_inverse(R, head, blocks):
         Rinv = np.linalg.inv(R[:head, :head])
     except np.linalg.LinAlgError:
         return None
-    return Rinv, np.where(blocks.same_level[:head, :head], Rinv, 0.0)
-
-
-def _first_deficient_level(R, frob, tol, blocks):
-    """First level above the last whose diagonal block is rank-deficient or
-    (nearly) fully covered, by exact singular values from one batched SVD;
-    the last level's index when there is none."""
-    k, m = R.shape
-    R_ext = np.zeros((m + 1, m + 1))
-    R_ext[:k, :m] = R
-    idx = blocks.index
-    s = np.linalg.svd(R_ext[idx[:, :, None], idx[:, None, :]],
-                      compute_uv=False)
-    ok = ((s[blocks.levels, blocks.sizes - 1] > tol * s[:, 0])   # full rank
-          & (s[:, 0] >= tol * frob[:-1]))                        # not covered
-    return len(ok) if ok.all() else int(ok.argmin())
+    return Rinv, np.where(same_level[:head, :head], Rinv, 0.0)
 
 
 def project_levels(R, starts, frob, tol, first, free):
@@ -251,7 +221,6 @@ class Wbosc:
         # gravity_mask[i] True = joint i receives no gravity compensation
         self.gravity_mask = (np.zeros(n_joints, dtype=bool) if gravity_mask is None
                              else np.asarray(gravity_mask, dtype=bool))
-        self._blocks = {}           # TaskStack -> _HeadBlocks
         self._record = None
         self._ladder = None
         self._memo_key = None       # _inputs_key of _memo_tau, or None
@@ -301,13 +270,10 @@ class Wbosc:
         if not (np.isfinite(J).all() and np.isfinite(xdd).all()):
             raise CommandError(
                 f"non-finite task aggregate: {self._offending_tasks(stack)}")
-        blocks = self._blocks.get(stack)
-        if blocks is None:
-            blocks = self._blocks[stack] = _HeadBlocks(stack.starts)
         UNcBar = constraint_set.UNcBar
         Jw = J @ constraint_set.UNcBarL
         g, R, frob = ladder_forces(Jw, xdd, stack.starts, self.tolerance,
-                                   blocks)
+                                   stack.same_level)
         self._record = _LadderRecord(stack.levels, stack.starts, J.copy(),
                                      UNcBar, R, frob, self.tolerance)
         self._ladder = None

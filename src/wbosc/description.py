@@ -63,16 +63,6 @@ class LinkSpec:
         ])
         return cls(name, mass, com, inertia)
 
-    def to_dict(self):
-        ine = self.inertia
-        return {
-            "name": self.name,
-            "mass": self.mass,
-            "com": [float(x) for x in self.com],
-            "inertia": [float(ine[0, 0]), float(ine[1, 1]), float(ine[2, 2]),
-                        float(ine[0, 1]), float(ine[0, 2]), float(ine[1, 2])],
-        }
-
 
 class JointSpec:
     def __init__(self, name, jtype, parent, child, origin_xyz, origin_rpy,
@@ -113,27 +103,6 @@ class JointSpec:
         return cls(name, jtype, parent, child, xyz, rpy, axis, pos,
                    None if vel is None else float(vel),
                    None if eff is None else float(eff))
-
-    def to_dict(self):
-        d = {
-            "name": self.name,
-            "type": self.type,
-            "parent": self.parent,
-            "child": self.child,
-            "origin": {"xyz": [float(x) for x in self.origin_xyz],
-                       "rpy": [float(x) for x in self.origin_rpy]},
-            "axis": [float(x) for x in self.axis],
-        }
-        limits = {}
-        if self.position_limits is not None:
-            limits["position"] = list(self.position_limits)
-        if self.velocity_limit is not None:
-            limits["velocity"] = self.velocity_limit
-        if self.effort_limit is not None:
-            limits["effort"] = self.effort_limit
-        if limits:
-            d["limits"] = limits
-        return d
 
 
 class RobotDescription:
@@ -249,14 +218,6 @@ class RobotDescription:
                 raise DescriptionError(f"link {l.name!r}: negative mass")
             if np.abs(l.inertia - l.inertia.T).max() > 1e-12:
                 raise DescriptionError(f"link {l.name!r}: inertia not symmetric")
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "gravity": [float(x) for x in self.gravity],
-            "links": [l.to_dict() for l in self.links],
-            "joints": [j.to_dict() for j in self.joints],
-        }
 
 
 def load_description(text):

@@ -36,6 +36,17 @@ class NoiseSpec:
     def any(self):
         return self.position > 0.0 or self.velocity > 0.0 or self.effort > 0.0
 
+    def applied(self, state, rng):
+        """A copy of state with zero-mean Gaussian noise of each channel's
+        standard deviation added, drawn channel by channel in field order."""
+        out = state.copy()
+        for channel in ("position", "velocity", "effort"):
+            sigma = getattr(self, channel)
+            if sigma > 0.0:
+                values = getattr(out, channel)
+                values += rng.normal(0.0, sigma, values.shape)
+        return out
+
 
 @dataclass
 class Transmission:
@@ -112,13 +123,8 @@ class SimPlant:
         self._reconstruct()
 
     def _reconstruct(self):
-        self._q_full[:] = 0.0
-        self._q_full[self._independent] = self._q_r
+        self._q_full[:] = self._E @ self._q_r
         self._qd_full[:] = self._E @ self._qd_r
-        for tr in self.transmissions:
-            s = self.model.joint_dof_index(tr.slave)
-            m = self.model.joint_dof_index(tr.master)
-            self._q_full[s] = tr.ratio * self._q_full[m]
 
     def state(self):
         self._reconstruct()
@@ -142,24 +148,18 @@ class SimPlant:
         return 0.5 * self._qd_full @ self.model.A @ self._qd_full
 
     def _reduced_accel(self, q_r, qd_r):
-        q_full = np.zeros(self.model.n_dofs)
-        q_full[self._independent] = q_r
-        for tr in self.transmissions:
-            s = self.model.joint_dof_index(tr.slave)
-            m = self.model.joint_dof_index(tr.master)
-            q_full[s] = tr.ratio * q_full[m]
-        qd_full = self._E @ qd_r
-        self.model.update_kinematics(q_full, qd_full)
+        """(reduced acceleration, contact nullspace basis or None) at
+        (q_r, qd_r) under the current effort."""
+        self.model.update_kinematics(self._E @ q_r, self._E @ qd_r)
         U = self.model.underactuation_matrix()
         force = self._E.T @ (U.T @ self._tau - self.model.B - self.model.G)
         M = self._E.T @ self.model.A @ self._E
         Z = self._contact_nullspace()
         if Z is None:
-            return np.linalg.solve(M, force)
+            return np.linalg.solve(M, force), Z
         if Z.shape[1] == 0:
-            return np.zeros_like(qd_r)
-        acc = Z @ np.linalg.solve(Z.T @ M @ Z, Z.T @ force)
-        return acc
+            return np.zeros_like(qd_r), Z
+        return Z @ np.linalg.solve(Z.T @ M @ Z, Z.T @ force), Z
 
     def _contact_nullspace(self):
         if not self.contacts:
@@ -187,22 +187,23 @@ class SimPlant:
             raise PlantError("non-finite effort command")
         self._tau = effort
         if self.integrator == "semi_implicit":
-            acc = self._reduced_accel(self._q_r, self._qd_r)
-            if self.contacts:
-                Z = self._contact_nullspace()
-                if Z is not None:
-                    self._qd_r[:] = Z @ (Z.T @ self._qd_r)
+            acc, Z = self._reduced_accel(self._q_r, self._qd_r)
+            if Z is not None:
+                self._qd_r[:] = Z @ (Z.T @ self._qd_r)
             self._qd_r += acc * dt
             self._q_r += self._qd_r * dt
         else:
+            def accel(q_r, qd_r):
+                return self._reduced_accel(q_r, qd_r)[0]
+
             q0, v0 = self._q_r.copy(), self._qd_r.copy()
-            k1q, k1v = v0, self._reduced_accel(q0, v0)
+            k1q, k1v = v0, accel(q0, v0)
             k2q = v0 + 0.5 * dt * k1v
-            k2v = self._reduced_accel(q0 + 0.5 * dt * k1q, k2q)
+            k2v = accel(q0 + 0.5 * dt * k1q, k2q)
             k3q = v0 + 0.5 * dt * k2v
-            k3v = self._reduced_accel(q0 + 0.5 * dt * k2q, k3q)
+            k3v = accel(q0 + 0.5 * dt * k2q, k3q)
             k4q = v0 + dt * k3v
-            k4v = self._reduced_accel(q0 + dt * k3q, k4q)
+            k4v = accel(q0 + dt * k3q, k4q)
             self._q_r[:] = q0 + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
             self._qd_r[:] = v0 + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         self.time += dt
@@ -262,17 +263,7 @@ class LockstepSimInterface(RobotInterface):
         self._last_effort = hold
 
     def read(self):
-        state = self._state_queue[0]
-        out = state.copy()
-        n = self.noise
-        if n.any():
-            if n.position > 0.0:
-                out.position += self._rng.normal(0.0, n.position, out.position.shape)
-            if n.velocity > 0.0:
-                out.velocity += self._rng.normal(0.0, n.velocity, out.velocity.shape)
-            if n.effort > 0.0:
-                out.effort += self._rng.normal(0.0, n.effort, out.effort.shape)
-        return out
+        return self.noise.applied(self._state_queue[0], self._rng)
 
     def write(self, command):
         if self.command_delay:
@@ -292,7 +283,7 @@ class FreerunSimInterface(RobotInterface):
     """Plant running in its own thread with a bounded command mailbox; the
     servo side never blocks on it."""
 
-    def __init__(self, plant, plant_period, latency_cycles=0, noise=None, seed=0):
+    def __init__(self, plant, plant_period, noise=None, seed=0):
         self.plant = plant
         self.period = plant_period
         self.noise = noise or NoiseSpec()
@@ -332,11 +323,7 @@ class FreerunSimInterface(RobotInterface):
             finally:
                 self._state_lock.release()
         out = self._last_read
-        n = self.noise
-        if n.position > 0.0:
-            out = out.copy()
-            out.position += self._rng.normal(0.0, n.position, out.position.shape)
-        return out
+        return self.noise.applied(out, self._rng) if self.noise.any() else out
 
     def write(self, command):
         if self._command_lock.acquire(blocking=False):

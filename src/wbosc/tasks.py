@@ -396,9 +396,11 @@ class CompoundTaskEntry:
 class TaskStack:
     """Enabled tasks row-stacked in priority order (declaration order within
     a level).  Rows starts[i]:starts[i + 1] belong to levels[i]; starts ends
-    with the total row count."""
+    with the total row count.  same_level[r, c] is True when rows r and c
+    belong to one level."""
 
-    __slots__ = ("tasks", "levels", "starts", "jacobian", "command", "_rows")
+    __slots__ = ("tasks", "levels", "starts", "same_level", "jacobian",
+                 "command", "_rows")
 
     def __init__(self, entries):
         ordered = sorted(entries, key=lambda e: e.priority)
@@ -409,6 +411,8 @@ class TaskStack:
         self._rows = tuple(zip(self.tasks, bounds[:-1], bounds[1:]))
         self.starts = np.append(
             bounds[[priorities.index(lv) for lv in self.levels]], bounds[-1])
+        owner = np.repeat(np.arange(len(self.levels)), np.diff(self.starts))
+        self.same_level = owner[:, None] == owner[None, :]
         self.jacobian = np.zeros((bounds[-1], self.tasks[0].n_dofs))
         self.command = np.zeros(bounds[-1])
 

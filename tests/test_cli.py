@@ -3,19 +3,22 @@ import json
 import threading
 import time
 
+import pytest
 import yaml
 
 from wbosc import fixtures
 from wbosc.cli import main
 
 
-def test_run_golden_config_writes_logs(tmp_path):
+@pytest.mark.parametrize("clock_args", [[], ["--clock", "lockstep"]],
+                         ids=["config-clock", "lockstep-clock"])
+def test_run_golden_config_writes_logs(tmp_path, clock_args):
     rc = main(["run",
                "--config", str(fixtures.config_path("dreamer22_disassembly")),
                "--robot", str(fixtures.robot_path("dreamer22")),
                "--duration", "1.0",
                "--single-threaded",
-               "--log-dir", str(tmp_path)])
+               "--log-dir", str(tmp_path)] + clock_args)
     assert rc == 0
     log = tmp_path / "errors_rightHand.csv"
     assert log.exists()

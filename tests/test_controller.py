@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+import wbosc.controller as controller_module
 from conftest import random_configuration
 from test_tasks import build_disassembly_compound, update_all, updated
 from wbosc.constraints import (CoactuationConstraint, ConstraintSet,
@@ -242,6 +243,30 @@ def test_fully_covered_level_contributes_nothing(make_model):
                                              state_of(model)).effort
         assert relative(tau, posture_only) <= 1e-10
         assert np.abs(tau).max() < 1e4
+
+
+@pytest.mark.parametrize("orientation", ["2d", "3d"])
+def test_ladder_matches_reference_when_the_norm_proof_fails(orientation,
+                                                            make_model,
+                                                            monkeypatch):
+    # a weak top level keeps every level full rank, but tol |Jw_head|_F
+    # |Dinv|_F reaches 1, so no level is proven and each is projected in turn
+    firsts = []
+    original = controller_module.project_levels
+
+    def recording(R, starts, frob, tol, first, free):
+        firsts.append(first)
+        return original(R, starts, frob, tol, first, free)
+
+    monkeypatch.setattr(controller_module, "project_levels", recording)
+    rng = np.random.default_rng(59)
+    for _ in range(3):
+        model, cset, compound = random_dreamer(
+            make_model, orientation, level_layouts()[5], rng)
+        compound.task("rightHandPosition").active_state.jacobian *= 1e-5
+        del firsts[:]
+        assert_matches_reference(model, cset, compound)
+        assert firsts[0] == 0       # the ladder's own call, from level 0
 
 
 def count_calls(fn):

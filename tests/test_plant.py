@@ -3,8 +3,8 @@ import pytest
 
 from wbosc.controller import Command
 from wbosc.description import RobotDescription
-from wbosc.plant import (LockstepSimInterface, NoiseSpec, PlantError, SimPlant,
-                         Transmission)
+from wbosc.plant import (FreerunSimInterface, LockstepSimInterface, NoiseSpec,
+                         PlantError, SimPlant, Transmission)
 
 DT = 1e-3
 
@@ -142,10 +142,15 @@ def test_seven_cycle_latency_shifts_trajectory_by_seven(descriptions):
             base[k - 7].velocity[0], abs=1e-15)
 
 
-def test_sensing_noise_statistics(descriptions):
+@pytest.mark.parametrize("interface", [LockstepSimInterface,
+                                       FreerunSimInterface],
+                         ids=["lockstep", "freerun"])
+@pytest.mark.parametrize("channel", ["position", "velocity"])
+def test_sensing_noise_statistics(descriptions, interface, channel):
     plant = make_plant(descriptions, "pend1")
-    iface = LockstepSimInterface(plant, DT, noise=NoiseSpec(position=0.001),
-                                 seed=42)
-    samples = np.array([iface.read().position[0] for _ in range(10000)])
+    # the freerun interface's plant thread is never started: read() only
+    iface = interface(plant, DT, noise=NoiseSpec(**{channel: 0.001}), seed=42)
+    samples = np.array([getattr(iface.read(), channel)[0]
+                        for _ in range(10000)])
     assert abs(samples.std() - 0.001) / 0.001 < 0.1
     assert abs(samples.mean()) < 1e-4
