@@ -264,7 +264,7 @@ class AssembledController:
         self.runtime = ServoRuntime(
             self.name, self.servo_model, self.compound, self.wbc,
             self.interface, self.clock, registry=self.registry,
-            publish=publish, limits=self.limits,
+            publish=publish, watch=self.bus.watch, limits=self.limits,
             single_threaded=single_threaded, hooks=hooks, history=history)
 
     # -- construction helpers ------------------------------------------------

@@ -21,7 +21,7 @@ here, in the model process, rather than on every servo cycle.
 
 import numpy as np
 
-from .linalg import DEFAULT_TOLERANCE, dyn_consistent_pinv
+from .linalg import DEFAULT_TOLERANCE, dyn_consistent_pinv, eigh_pinv
 
 
 class ConstraintError(ValueError):
@@ -196,14 +196,19 @@ class ConstraintSet:
             r += c.constrained_dof_count
         if rows == 0:
             self.N_c = np.eye(n)
+            UNc = U
         else:
             Jbar = dyn_consistent_pinv(self.J_c, self.Ainv, self.tolerance)
             self.N_c = np.eye(n) - Jbar @ self.J_c
-        UNc = U @ self.N_c
-        self.UNcBar = dyn_consistent_pinv(UNc, self.Ainv, self.tolerance)
-        self.Lstar = np.eye(nj) - UNc @ self.UNcBar
-        self.Phi = UNc @ self.Ainv @ UNc.T
+            UNc = U @ self.N_c
+        # one eigendecomposition of Phi gives both the tolerant inverse in
+        # UNcBar (dyn_consistent_pinv's, cutoff tol^2) and L (cutoff nj eps)
+        AiUt = self.Ainv @ UNc.T
+        self.Phi = UNc @ AiUt
         w, V = np.linalg.eigh(self.Phi)
+        tol = self.tolerance
+        self.UNcBar = AiUt @ eigh_pinv(w, V, tol * tol)
+        self.Lstar = np.eye(nj) - UNc @ self.UNcBar
         keep = w > w[-1] * nj * np.finfo(float).eps
         self.UNcBarL = self.UNcBar @ (V[:, keep] * np.sqrt(w[keep]))
         self.version += 1

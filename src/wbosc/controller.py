@@ -416,23 +416,34 @@ def enforce_limits(command, limits):
     Returns (command, warnings).
     """
     eff_over = pos_over = vel_over = max_over = limits.none_over
+    over = False
     # bounds are infinite where a joint enforces nothing, so clipping every
-    # entry changes exactly the ones over their limit
+    # entry changes exactly the ones over their limit, and a class with
+    # none over needs no clip
     if limits.effort is not None:
         eff_over = np.abs(command.effort) > limits.effort
-        np.clip(command.effort, -limits.effort, limits.effort,
-                out=command.effort)
+        if eff_over.any():
+            over = True
+            np.clip(command.effort, -limits.effort, limits.effort,
+                    out=command.effort)
     if limits.position is not None:
         mask, lo, hi = limits.position
         pos_over = mask & ~((lo <= command.position)
                             & (command.position <= hi))
-        np.clip(command.position, lo, hi, out=command.position)
+        if pos_over.any():
+            over = True
+            np.clip(command.position, lo, hi, out=command.position)
     if limits.velocity is not None:
         vel_over = np.abs(command.velocity) > limits.velocity
-        np.clip(command.velocity, -limits.velocity, limits.velocity,
-                out=command.velocity)
+        if vel_over.any():
+            over = True
+            np.clip(command.velocity, -limits.velocity, limits.velocity,
+                    out=command.velocity)
     if limits.max_effort is not None:
         max_over = np.abs(command.effort) > limits.max_effort
+        over = over or max_over.any()
+    if not over:
+        return command, []
     warnings = []
     for i in np.flatnonzero(eff_over | pos_over | vel_over | max_over):
         joint = limits.joints[i]

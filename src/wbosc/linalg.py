@@ -27,10 +27,14 @@ def sym_pinv(M, tol=DEFAULT_TOLERANCE):
     Cheaper than SVD in the servo hot path; eigenvalues below tol * largest
     (or negative from roundoff) are zeroed.
     """
-    w, V = np.linalg.eigh(M)
+    return eigh_pinv(*np.linalg.eigh(M), tol)
+
+
+def eigh_pinv(w, V, tol=DEFAULT_TOLERANCE):
+    """sym_pinv from the eigendecomposition (w, V) = eigh(M)."""
     top = w[-1]
     if top <= 0.0:
-        return np.zeros_like(M)
+        return np.zeros_like(V)
     inv = np.where(w > tol * top, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
     return (V * inv) @ V.T
 

@@ -157,6 +157,21 @@ class RobotModel:
         self._total_mass = float(self._mass.sum())
         self._path_mass = self._mass @ self._P
 
+        # a body with no DOF on its root path never moves: its transform,
+        # COM and spatial inertia are filled once here.  The passes visit
+        # only the other bodies, as (index, body, parent), where a parent
+        # that never moves counts as the world: its velocity is zero, its
+        # acceleration a0, and no generalized force reads its wrench
+        moving = self._P.any(axis=1)
+        self._moving = [
+            (i, body, body.parent if body.parent >= 0
+             and moving[body.parent] else -1)
+            for i, body in enumerate(self._bodies) if moving[i]]
+        fixed = [(i, body, body.parent)
+                 for i, body in enumerate(self._bodies) if not moving[i]]
+        self._forward_kinematics(fixed)
+        self._spatial_inertias(fixed)
+
     # -- construction ----------------------------------------------------
 
     def _build(self):
@@ -330,8 +345,8 @@ class RobotModel:
                 f"{q_full.shape} / {qd_full.shape}")
         self.q_full[:] = q_full
         self.qd_full[:] = qd_full
-        self._forward_kinematics()
-        self._spatial_inertias()
+        self._forward_kinematics(self._moving)
+        self._spatial_inertias(self._moving)
         self._crba()
         self._fresh = True
         # Coriolis/centrifugal bias from a gravity-free velocity pass; the
@@ -341,12 +356,12 @@ class RobotModel:
         self.version += 1
         return self
 
-    def _forward_kinematics(self):
+    def _forward_kinematics(self, bodies):
         T = self._T
         eye4 = self._eye4
         joint_T = self._jointT
         motion = self._motion
-        for i, body in enumerate(self._bodies):
+        for i, body, _ in bodies:
             parent_T = eye4 if body.parent < 0 else T[body.parent]
             np.matmul(parent_T, body.origin, out=joint_T)
             if body.dof is None:
@@ -371,8 +386,8 @@ class RobotModel:
                     S[3:] = w
             self._com_w[i] = T[i, :3, :3] @ body.com + T[i, :3, 3]
 
-    def _spatial_inertias(self):
-        for i, body in enumerate(self._bodies):
+    def _spatial_inertias(self, bodies):
+        for i, body, _ in bodies:
             I6 = self._I_w[i]
             if body.mass == 0.0 and not body.inertia.any():
                 I6[:] = 0.0
@@ -395,10 +410,9 @@ class RobotModel:
         A = self.A
         A[:] = 0.0
         S = self._S
-        for i in range(len(self._bodies) - 1, -1, -1):
-            body = self._bodies[i]
-            if body.parent >= 0:
-                IC[body.parent] += IC[i]
+        for i, body, parent in reversed(self._moving):
+            if parent >= 0:
+                IC[parent] += IC[i]
             if body.dof is None:
                 continue
             d = body.dof
@@ -416,9 +430,9 @@ class RobotModel:
         if with_gravity:
             a0[3:] = -self.description.gravity
         zero6 = self._zero6
-        for i, body in enumerate(self._bodies):
-            pv = zero6 if body.parent < 0 else v[body.parent]
-            pa = a0 if body.parent < 0 else a[body.parent]
+        for i, body, parent in self._moving:
+            pv = zero6 if parent < 0 else v[parent]
+            pa = a0 if parent < 0 else a[parent]
             if body.dof is None:
                 v[i] = pv
                 a[i] = pa
@@ -437,12 +451,11 @@ class RobotModel:
             _crf_add(v[i], Iv, fi)
             f[i] = fi
         out[:] = 0.0
-        for i in range(len(self._bodies) - 1, -1, -1):
-            body = self._bodies[i]
+        for i, body, parent in reversed(self._moving):
             if body.dof is not None:
                 out[body.dof] = S[body.dof] @ f[i]
-            if body.parent >= 0:
-                f[body.parent] += f[i]
+            if parent >= 0:
+                f[parent] += f[i]
         return out
 
     def _gravity_pass(self, out):
@@ -450,7 +463,7 @@ class RobotModel:
         where f_acc sums [c x (m g); m g] over every body at or below d."""
         f, S = self._f, self._S
         g = self.description.gravity
-        for i, body in enumerate(self._bodies):
+        for i, body, _ in self._moving:
             fi = f[i]
             if body.mass == 0.0:
                 fi[:] = 0.0
@@ -462,12 +475,11 @@ class RobotModel:
             fi[5] = m * g[2]
             _cross3(c, fi[3:], fi[:3])
         out[:] = 0.0
-        for i in range(len(self._bodies) - 1, -1, -1):
-            body = self._bodies[i]
+        for i, body, parent in reversed(self._moving):
             if body.dof is not None:
                 out[body.dof] = -(S[body.dof] @ f[i])
-            if body.parent >= 0:
-                f[body.parent] += f[i]
+            if parent >= 0:
+                f[parent] += f[i]
         return out
 
     def inverse_dynamics(self, qdd, qd=None, gravity=True):

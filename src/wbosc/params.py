@@ -8,7 +8,10 @@ of the next cycle via drain_staged() -- a try-acquire, so the servo never
 blocks on a transport thread.
 
 Events hold a compiled expression over parameter names and fire only on
-false-to-true transitions; the expression is evaluated once per servo cycle.
+false-to-true transitions.  An event is a pure function of parameter values,
+and only Parameter.set replaces a value, so emit_events (once per servo
+cycle) evaluates the events only after a set or an added event; an event
+whose evaluation failed is evaluated, and warns, at every emit.
 """
 
 import enum
@@ -61,16 +64,18 @@ class Parameter:
 
     The stored value object is replaced, never mutated, so concurrent readers
     always observe a consistent value.  ``setter`` lets the owning object
-    mirror changes into its own fields.
+    mirror changes into its own fields.  Every stored value makes the
+    events of ``registry``, the declaring ParameterRegistry, due.
     """
 
-    def __init__(self, name, kind, initial, readable=True, writable=True,
-                 setter=None):
+    def __init__(self, registry, name, kind, initial, readable=True,
+                 writable=True, setter=None):
         self.name = name
         self.kind = kind
         self.readable = readable
         self.writable = writable
         self._setter = setter
+        self._registry = registry
         self._value = _coerce(kind, initial)
         self.output_bindings = []
 
@@ -85,6 +90,7 @@ class Parameter:
         if self._setter is not None:
             self._setter(value)
         self._value = value
+        self._registry.events_due = True
         for binding in self.output_bindings:
             binding.offer(value)
 
@@ -117,6 +123,9 @@ class ParameterRegistry:
     def __init__(self):
         self._params = {}
         self.events = []
+        self.events_due = False     # a value set or an event added since
+        #                             the last emit_events
+        self._failing = []          # events whose last evaluation raised
         self._staging = {}
         self._staging_lock = threading.Lock()
         self.staged_drops = 0
@@ -129,7 +138,8 @@ class ParameterRegistry:
         full = f"{owner}.{name}" if owner else name
         if full in self._params:
             raise ParameterError(f"duplicate parameter {full!r}")
-        param = Parameter(full, kind, initial, readable, writable, setter)
+        param = Parameter(self, full, kind, initial, readable, writable,
+                          setter)
         self._params[full] = param
         return param
 
@@ -201,16 +211,30 @@ class ParameterRegistry:
     def add_event(self, name, expression):
         event = Event(name, expression)
         self.events.append(event)
+        self.events_due = True
         return event
 
     def emit_events(self, warn=None):
-        """Evaluate every event once; returns the names that fired."""
+        """Evaluate every event once if a value was set or an event added
+        since the last call, otherwise only the events whose evaluation
+        failed (the others would give the same result); returns the names
+        that fired.  The flag is cleared before evaluating, so a value set
+        meanwhile is seen by the next call."""
+        events = self._failing
+        if self.events_due:
+            self.events_due = False
+            events = self.events
+        if not events:
+            return []
         fired = []
-        for event in self.events:
+        failing = []
+        for event in events:
             try:
                 if event.evaluate(self.resolve):
                     fired.append(event.name)
             except EvaluationError as exc:
+                failing.append(event)
                 if warn is not None:
                     warn(f"event {event.name!r}: {exc}")
+        self._failing = failing
         return fired

@@ -30,7 +30,8 @@ inherits.
 One servo cycle: apply staged inputs, read robot state, check for a whole
 reply (copy it in), stage joint state for the child when no request is in
 flight, run the task goal halves when due, compute the command, emit
-events, write, publish diagnostics.
+events (evaluated after a parameter write, and a failing one every cycle),
+write, publish diagnostics (while they have a subscriber).
 
 A task's goal half (error, PID command, the ``error`` parameter) runs on the
 servo thread, for an enabled task whose state is fresh (``TaskState``) or
@@ -45,9 +46,14 @@ The rule: a quiet cycle's only GIL hand-off is the check's zero-timeout
 poll.  Every release lets another thread (the publisher, the UDP receiver)
 run for up to a switch interval (5 ms) before the servo thread gets the GIL
 back, so the quiet path calls nothing else that releases it: events take
-their norm with a 1-D ``@``, the cycle's diagnostics go to the publisher as
-one queue entry, and joint limits are checked against arrays built once.
-The one exception is the publisher: when more than ``PublisherWorker.BEHIND``
+their norm with a 1-D ``@``, and joint limits are checked against arrays
+built once.  A quiet cycle with no subscriber to its diagnostics hands the
+publisher nothing: the cycle's diagnostics go to it as one queue entry only
+while one of their topics has a subscriber (one lock-free read of a
+``TopicWatch``; a subscription takes effect from the next cycle).  Nor does
+it evaluate events: they are evaluated only after a parameter write, and a
+failing one every cycle (``ParameterRegistry.emit_events``).  The one
+exception is the publisher: when more than ``PublisherWorker.BEHIND``
 entries wait, enqueue hands it the GIL too, since a single-threaded servo
 never polls at all.
 
@@ -75,10 +81,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import CommandError, WboscImpedance, enforce_limits
+from .transports import TopicWatch
 
 PHASES = ("read", "update_model", "compute_command", "emit_events", "write")
-# published every cycle under <name>/diagnostics/, in this order; the command
-# is left out on a suppressed cycle
+# published under <name>/diagnostics/, in this order, every cycle while one
+# of them has a subscriber; the command is left out on a suppressed cycle
 CYCLE_DIAGNOSTICS = ("servoFrequency", "servoComputeLatency", "modelLatency",
                      "gravityVector", "jointState", "command")
 
@@ -346,11 +353,12 @@ class ServoRuntime:
     process.
 
     ``publish(topics, values)`` hands values[i] for topics[i] off the servo
-    thread as one unit, in order; ``limits`` is a JointLimits for the
-    command, or None."""
+    thread as one unit, in order; ``watch(topics)`` returns a TopicWatch
+    (``IntraBus.watch``), and without one no cycle diagnostics are
+    published; ``limits`` is a JointLimits for the command, or None."""
 
     def __init__(self, name, servo_model, compound, wbc, interface, clock,
-                 registry=None, publish=None, limits=None,
+                 registry=None, publish=None, watch=None, limits=None,
                  single_threaded=False, hooks=None, history=2048):
         self.name = name
         self.compound = compound
@@ -362,6 +370,8 @@ class ServoRuntime:
         self.limits = limits
         self._diagnostics_topics = tuple(
             f"{name}/diagnostics/{topic}" for topic in CYCLE_DIAGNOSTICS)
+        self._diagnostics = TopicWatch(()) if publish is None \
+            or watch is None else watch(self._diagnostics_topics)
         self.single_threaded = single_threaded
         self.hooks = hooks or ServoHooks()
         self.stats = RuntimeStats()
@@ -575,15 +585,14 @@ class ServoRuntime:
                                      t_write)):
             self._phase_history[row, idx] = value
         self._cycle_latency[idx] = total
-        frequency = 0.0
-        if self._prev_cycle_start is not None:
-            dt = now - self._prev_cycle_start
-            frequency = (1.0 / dt) if dt > 0 else 0.0
-        self._prev_cycle_start = now
+        previous, self._prev_cycle_start = self._prev_cycle_start, now
 
         model_latency = now - self.last_model_swap_time
-        if self._publish is not None:
+        if self._diagnostics.subscribed:
             # one queue entry for the cycle's diagnostics
+            frequency = 0.0
+            if previous is not None and now > previous:
+                frequency = 1.0 / (now - previous)
             values = (frequency, total, model_latency,
                       self.active.model.G.copy(), state.position.copy())
             topics = self._diagnostics_topics

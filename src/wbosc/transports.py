@@ -109,17 +109,43 @@ def decode_message(buf):
 
 # -- in-process bus ----------------------------------------------------------------
 
+class TopicWatch:
+    """Whether any of ``topics`` has a subscriber on its bus.  The bus sets
+    ``subscribed`` under its lock; a reader reads it without one."""
+
+    def __init__(self, topics):
+        self.topics = frozenset(topics)
+        self.subscribed = False
+
+
 class IntraBus:
-    """Topic pub/sub inside one process, with per-topic latched values."""
+    """Topic pub/sub inside one process, with per-topic latched values.
+
+    A subscriber that raises does not stop delivery to the other
+    subscribers or later topics; it is counted in ``failures``."""
 
     def __init__(self):
         self._subscribers = {}
         self._latched = {}
+        self._watches = []
         self._lock = threading.Lock()
+        self.failures = 0
+
+    def watch(self, topics):
+        """A TopicWatch over ``topics``; a subscription cannot be undone,
+        so once set it stays set."""
+        watch = TopicWatch(topics)
+        with self._lock:
+            watch.subscribed = not watch.topics.isdisjoint(self._subscribers)
+            self._watches.append(watch)
+        return watch
 
     def subscribe(self, topic, callback):
         with self._lock:
             self._subscribers.setdefault(topic, []).append(callback)
+            for watch in self._watches:
+                if topic in watch.topics:
+                    watch.subscribed = True
             latched = self._latched.get(topic)
         if latched is not None:
             callback(latched)
@@ -130,7 +156,11 @@ class IntraBus:
                 self._latched[topic] = value
             callbacks = list(self._subscribers.get(topic, ()))
         for cb in callbacks:
-            cb(value)
+            try:
+                cb(value)
+            except Exception:
+                with self._lock:
+                    self.failures += 1
 
     def publish_each(self, topics, values):
         """Publish values[i] on topics[i], in order."""
@@ -145,11 +175,12 @@ class PublisherWorker:
 
     Overflow drops the oldest entry and counts the drop, in ``drops`` and,
     when the entry was enqueued with an owner, in that owner's ``dropped``;
-    enqueue never blocks on a lock.  The drain thread needs the GIL, which
-    a servo thread that makes no blocking call never releases, so once more
-    than ``BEHIND`` entries wait, enqueue hands the GIL over with
-    ``time.sleep(0)``; the drain then catches up instead of falling behind
-    until it drops entries, and a sink sees no burst of hundreds of values.
+    a sink that raises is counted in ``failures``.  enqueue never blocks on
+    a lock.  The drain thread needs the GIL, which a servo thread that makes
+    no blocking call never releases, so once more than ``BEHIND`` entries
+    wait, enqueue hands the GIL over with ``time.sleep(0)``; the drain then
+    catches up instead of falling behind until it drops entries, and a sink
+    sees no burst of hundreds of values.
     flush() is for tests and orderly shutdown only: it returns once the
     queue is empty and the entry the drain loop last took out has been
     delivered.
@@ -164,6 +195,7 @@ class PublisherWorker:
         self._wake = threading.Event()
         self._stop = threading.Event()
         self.drops = 0
+        self.failures = 0
         self._delivering = False    # taken out of the queue, not delivered
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name="publisher")
@@ -197,7 +229,8 @@ class PublisherWorker:
                 try:
                     sink(topic, value)
                 except Exception:
-                    pass    # a failing sink must not kill the drain loop
+                    # a failing sink must not kill the drain loop
+                    self.failures += 1
 
     def flush(self, timeout=2.0):
         deadline = time.monotonic() + timeout

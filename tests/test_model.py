@@ -143,6 +143,31 @@ def test_crba_matches_inverse_dynamics_columns(name, make_model):
             assert np.abs(col - A[:, j]).max() < 1e-10
 
 
+@pytest.mark.parametrize("name", FIXTURE_ROBOTS)
+def test_passes_that_skip_bodies_that_never_move_change_no_bit(name,
+                                                               descriptions):
+    """The passes visit only the bodies with a DOF on their root path; a
+    model whose passes visit every body, each with its own parent, gives
+    the same bits."""
+    rng = np.random.default_rng(29)
+    model = RobotModel(descriptions[name])
+    every = RobotModel(descriptions[name])
+    every._moving = [(i, body, body.parent)
+                     for i, body in enumerate(every._bodies)]
+    if name == "pend1":
+        assert len(model._moving) < len(every._moving)
+    for _ in range(50):
+        q, qd = random_configuration(model, rng)
+        qdd = rng.uniform(-1.0, 1.0, model.n_dofs)
+        for m in (model, every):
+            m.update_kinematics(q, qd)
+        for got, want in zip(model.updated(), every.updated()):
+            np.testing.assert_array_equal(got, want)
+        for args in ((qdd, qd), (qdd,), (qdd, None, False)):
+            np.testing.assert_array_equal(model.inverse_dynamics(*args),
+                                          every.inverse_dynamics(*args))
+
+
 # -- jacobians --------------------------------------------------------------
 
 def test_pend1_tip_jacobian_column(make_model):

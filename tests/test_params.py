@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wbosc.params import ParameterError, ParameterKind, ParameterRegistry
+from wbosc.params import (Event, ParameterError, ParameterKind,
+                          ParameterRegistry)
 
 
 def test_declare_and_lookup():
@@ -142,3 +143,44 @@ def test_event_norm_over_vector_parameter():
     assert reg.emit_events() == []
     p.set(np.array([0.001, 0.0, 0.0]))
     assert reg.emit_events() == ["close"]
+
+
+def test_events_are_evaluated_only_after_a_write_or_an_added_event(
+        monkeypatch):
+    evaluated = []
+    evaluate = Event.evaluate
+
+    def counting(event, resolver):
+        evaluated.append(event.name)
+        return evaluate(event, resolver)
+
+    monkeypatch.setattr(Event, "evaluate", counting)
+    reg = ParameterRegistry()
+    p = reg.declare("t", "x", ParameterKind.SCALAR, 0.0)
+    reg.add_event("high", "t.x > 0.5")
+    reg.add_event("ghostly", "ghost.x > 0")
+    warnings = []
+
+    def emit():
+        del evaluated[:]
+        return reg.emit_events(warn=warnings.append)
+
+    assert emit() == [] and evaluated == ["high", "ghostly"]
+    # nothing written: only the failing event, which warns again
+    assert emit() == [] and evaluated == ["ghostly"]
+    assert len(warnings) == 2
+    reg.stage_input("t.x", 1.0)
+    assert reg.drain_staged() == 1
+    assert emit() == ["high"] and evaluated == ["high", "ghostly"]
+    p.set(0.0)
+    assert emit() == [] and evaluated == ["high", "ghostly"]
+    p.set(2.0)
+    assert emit() == ["high"]
+    reg.add_event("higher", "t.x > 1.5")
+    assert emit() == ["higher"] and "higher" in evaluated
+    assert emit() == [] and evaluated == ["ghostly"]
+    # a parameter declared later makes the failing event evaluable
+    reg.declare("ghost", "x", ParameterKind.SCALAR, 1.0)
+    assert emit() == ["ghostly"]
+    assert emit() == [] and evaluated == []
+    assert len(warnings) == 7       # one per emit while it failed

@@ -18,6 +18,7 @@ from wbosc.assembly import build_from_files
 from wbosc.config import ReconfigAction, load_config
 from wbosc.constraints import Constraint
 from wbosc.model import RobotState
+from wbosc.params import Event
 from wbosc.servo import (LockstepClock, MonotonicClock, ReplyReader,
                          ServoError, ServoHooks, make_clock)
 
@@ -114,6 +115,30 @@ def test_single_threaded_starts_no_workers():
         assert ctl.runtime.model_process is None
         ctl.run(cycles=5)
         assert multiprocessing.active_children() == []
+
+
+def test_single_threaded_pend1_cycle_makes_five_linalg_calls(monkeypatch):
+    """One lockstep cycle, the plant step included: inv(A) and one eigh of
+    Phi in the constraint set, qr and svd in the one-level ladder, and
+    solve in the plant."""
+    ctl = build_pend(single_threaded=True)
+    calls = []
+    with ctl:
+        ctl.start()
+        ctl.run(cycles=3)
+        for name in dir(np.linalg):
+            fn = getattr(np.linalg, name)
+            if name.startswith("_") or isinstance(fn, type) \
+                    or not callable(fn):
+                continue
+
+            def counting(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        ctl.run(cycles=1)
+    assert sorted(calls) == ["eigh", "inv", "qr", "solve", "svd"]
 
 
 def test_multi_threaded_first_cycle_fresh_model():
@@ -707,6 +732,145 @@ def test_quiet_cycle_hands_the_gil_over_only_at_its_poll(monkeypatch,
                 assert len(values) == cycles, topic
                 for got, want in zip(values, expected[topic]):
                     np.testing.assert_array_equal(got, want)
+        finally:
+            gate.set()
+
+
+def servo_thread_enqueues(monkeypatch, ctl):
+    """Records the topics of every publisher entry the calling thread
+    enqueues."""
+    enqueued = []
+    servo = threading.get_ident()
+    enqueue = ctl.publisher.enqueue
+
+    def counting_enqueue(sink, topic, value, owner=None):
+        if threading.get_ident() == servo:
+            enqueued.append(topic)
+        enqueue(sink, topic, value, owner)
+
+    monkeypatch.setattr(ctl.publisher, "enqueue", counting_enqueue)
+    return enqueued
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Records the name of every event evaluated."""
+    names = []
+    evaluate = Event.evaluate
+
+    def counting(event, resolver):
+        names.append(event.name)
+        return evaluate(event, resolver)
+
+    monkeypatch.setattr(Event, "evaluate", counting)
+    return names
+
+
+def test_unsubscribed_quiet_cycles_enqueue_nothing_and_evaluate_no_event(
+        monkeypatch, evaluated):
+    ctl, iface, gate = held_model_process()
+    runtime = ctl.runtime
+    with ctl:
+        try:
+            ctl.start()
+            ctl.run(cycles=1)       # sends a request: the child waits
+            assert evaluated == ["postureConverged"]    # servo_init's error
+            del evaluated[:]
+            enqueued = servo_thread_enqueues(monkeypatch, ctl)
+            for _ in range(50):
+                result = runtime.servo_update()
+                ctl.clock.tick()
+                assert not (result.goals_updated or result.model_swapped)
+            assert enqueued == []
+            assert evaluated == []
+        finally:
+            gate.set()
+
+
+def test_a_subscription_made_mid_run_gets_the_next_cycles_diagnostics(
+        monkeypatch):
+    ctl, iface, gate = held_model_process()
+    runtime = ctl.runtime
+    received = {topic: [] for topic in runtime._diagnostics_topics}
+    with ctl:
+        try:
+            ctl.start()
+            enqueued = servo_thread_enqueues(monkeypatch, ctl)
+            ctl.run(cycles=20)
+            assert ctl.flush()
+            assert enqueued == []
+            # subscribed on another thread, between two cycles
+            subscriber = threading.Thread(target=lambda: [
+                ctl.bus.subscribe(topic, values.append)
+                for topic, values in received.items()])
+            subscriber.start()
+            subscriber.join()
+            previous = runtime._prev_cycle_start
+            result = runtime.servo_update()
+            now = ctl.clock.now()
+            expected = (1.0 / (now - previous),
+                        runtime._cycle_latency[
+                            result.cycle % runtime._history_len],
+                        now - runtime.last_model_swap_time,
+                        runtime.active.model.G, iface.state.position,
+                        iface.last_effort)
+            ctl.clock.tick()
+            assert not (result.goals_updated or result.model_swapped)
+            assert enqueued == [runtime._diagnostics_topics]
+            assert ctl.flush()
+            for (topic, values), want in zip(received.items(), expected):
+                assert len(values) == 1, topic
+                np.testing.assert_array_equal(values[0], want)
+        finally:
+            gate.set()
+
+
+def test_events_see_a_goal_half_a_direct_set_and_a_late_event(evaluated):
+    """The next emit sees each write: the error a goal half sets after a
+    copy-in (no input applied), a direct Parameter.set, and an event added
+    after start."""
+    ctl, iface, gate = held_model_process()
+    runtime = ctl.runtime
+    fired = []
+    with ctl:
+        try:
+            ctl.start()
+            ctl.bus.subscribe("pend/events", fired.append)
+            ctl.registry.add_event("stiff", "norm(posture.kp) > 100")
+            ctl.run(cycles=2)
+
+            def cycle():
+                del evaluated[:], fired[:]
+                result = runtime.servo_update()
+                ctl.clock.tick()
+                assert ctl.flush()
+                return result
+
+            assert not cycle().goals_updated
+            assert evaluated == [] and fired == []
+            # a direct set between two cycles
+            ctl.registry.require("posture.kp").set([200.0])
+            assert not cycle().goals_updated
+            assert "stiff" in evaluated and fired == ["stiff"]
+            cycle()
+            assert evaluated == [] and fired == []
+            # an event added between two cycles
+            ctl.registry.add_event("late", "norm(posture.kp) > 150")
+            assert not cycle().goals_updated
+            assert "late" in evaluated and fired == ["late"]
+            cycle()
+            assert evaluated == [] and fired == []
+            # a goal half: the joint reaches the goal while a request waits
+            iface.state.position[:] = 0.0
+            gate.set()
+            for _ in range(3):
+                assert runtime.wait_idle()
+                result = cycle()
+                assert result.model_swapped and result.goals_updated
+                if fired:
+                    break
+            assert fired == ["postureConverged"]
+            assert ctl.registry.require("posture.error").value == [0.0]
         finally:
             gate.set()
 

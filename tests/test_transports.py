@@ -140,6 +140,41 @@ def test_enqueue_hands_the_gil_to_a_drain_that_fell_behind():
     assert delivered == list(range(2000))
 
 
+def test_a_raising_subscriber_or_sink_stops_no_other_delivery():
+    bus = IntraBus()
+    worker = PublisherWorker()
+    got = []
+
+    def bad(*args):
+        raise RuntimeError("subscriber failed")
+
+    bus.subscribe("a", bad)
+    bus.subscribe("a", got.append)
+    bus.subscribe("b", got.append)
+    try:
+        worker.enqueue(bus.publish_each, ("a", "b"), (1, 2))
+        worker.enqueue(bad, "c", 3)
+        worker.enqueue(bus.publish_each, ("b",), (4,))
+        assert worker.flush()
+    finally:
+        worker.stop()
+    assert got == [1, 2, 4]
+    assert bus.failures == 1
+    assert worker.failures == 1
+
+
+def test_topic_watch_is_set_by_a_subscription_to_any_of_its_topics():
+    bus = IntraBus()
+    bus.subscribe("x", print)
+    watch = bus.watch(("a", "b"))
+    assert not watch.subscribed
+    bus.subscribe("c", print)
+    assert not watch.subscribed
+    bus.subscribe("b", print)
+    assert watch.subscribed
+    assert bus.watch(("x",)).subscribed
+
+
 # -- bindings ------------------------------------------------------------------------
 
 def make_registry():
