@@ -5,11 +5,11 @@ import json
 import sys
 
 import numpy as np
-import yaml
 
 from .assembly import AssembledController, AssemblyError, ServiceError
 from .config import ConfigError, load_config_file
-from .description import DescriptionError, load_description_file
+from .description import (DescriptionError, load_description_file,
+                          parse_yaml)
 from .servo import CYCLE_DIAGNOSTICS, make_clock
 from .spline import SplineError, TrajectorySpline
 from .transports import TransportError, UdpTransport
@@ -132,7 +132,7 @@ def cmd_run(args):
 
 def load_trajectories(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh.read())
+        doc = parse_yaml(fh.read(), SplineError)
     if not isinstance(doc, list) or not doc:
         raise SplineError("trajectory file must be a non-empty list")
     out = []

@@ -22,6 +22,7 @@ import yaml
 
 from .constraints import CONSTRAINT_TYPES
 from .controller import CONTROLLER_TYPES
+from .description import parse_yaml
 from .expressions import ExpressionError, parse_expression
 from .tasks import TASK_TYPES
 from .transports import BindingConfig, TransportError
@@ -143,15 +144,7 @@ class ControllerSpec:
 
 
 def load_config(text):
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            raise ConfigError(
-                f"parse error at line {mark.line + 1}, column "
-                f"{mark.column + 1}: {getattr(exc, 'problem', exc)}") from exc
-        raise ConfigError(f"parse error: {exc}") from exc
+    doc = parse_yaml(text, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a mapping")
     unknown = set(doc) - _TOP_KEYS

@@ -211,7 +211,9 @@ class Wbosc:
     reference is kept with the versions of its inputs, and reused while
     they stay the same: in multi-threaded servo mode most cycles bring
     neither a new model nor a new goal half.  A failed call stores
-    nothing, so a bad input raises on every call that sees it."""
+    nothing, so a bad input raises on every call that sees it.
+    ``effort_version`` counts the calls that did not reuse the effort, so
+    a caller can tell a reused effort from a new one."""
 
     def __init__(self, n_dofs, n_joints, tolerance=DEFAULT_TOLERANCE,
                  gravity_mask=None):
@@ -225,6 +227,7 @@ class Wbosc:
         self._ladder = None
         self._memo_key = None       # _inputs_key of _memo_tau, or None
         self._memo_tau = None
+        self.effort_version = 0
 
     @property
     def last_ladder(self):
@@ -245,6 +248,7 @@ class Wbosc:
         else:
             # _record is replaced below, so the memo no longer matches it
             self._memo_key = None
+            self.effort_version += 1
             tau = self._effort(model, constraint_set, compound,
                                internal_force_ref)
             if key is not None:

@@ -220,17 +220,28 @@ class RobotDescription:
                 raise DescriptionError(f"link {l.name!r}: inertia not symmetric")
 
 
-def load_description(text):
-    """Parse and validate a robot description document."""
+# libyaml's safe loader when PyYAML was built with it: the same documents,
+# parsed about eight times faster than by the pure-Python one
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def parse_yaml(text, error):
+    """The YAML document in ``text``; a parse error raises ``error`` with
+    its line and column."""
     try:
-        doc = yaml.safe_load(text)
+        return yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
-            raise DescriptionError(
+            raise error(
                 f"parse error at line {mark.line + 1}, column {mark.column + 1}: "
                 f"{getattr(exc, 'problem', exc)}") from exc
-        raise DescriptionError(f"parse error: {exc}") from exc
+        raise error(f"parse error: {exc}") from exc
+
+
+def load_description(text):
+    """Parse and validate a robot description document."""
+    doc = parse_yaml(text, DescriptionError)
     if not isinstance(doc, dict):
         raise DescriptionError("document must be a mapping")
     _reject_unknown(doc, _TOP_KEYS, "document")

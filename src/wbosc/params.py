@@ -42,7 +42,9 @@ def _coerce(kind, value):
             raise ParameterError(f"expected a scalar, got shape {arr.shape}")
         return float(arr)
     if kind is ParameterKind.VECTOR:
-        arr = np.asarray(value, dtype=float)
+        # a copy: a sender that reuses its array must not change the value
+        # without a set
+        arr = np.array(value, dtype=float)
         if arr.ndim != 1:
             raise ParameterError(f"expected a vector, got shape {arr.shape}")
         return arr

@@ -40,13 +40,18 @@ flag).  So an input drained in cycle k is in cycle k's command with no
 request to the child, and the PID integrator stays in the parent.  The
 controller reuses its last effort while the model, each task's goal-half
 version and the enabled/priority configuration are unchanged (see
-``Wbosc.compute``), so any other cycle does almost no numpy work.
+``Wbosc.compute``), so any other cycle does almost no numpy work.  A reused
+effort also reuses its limit verdict: the effort as clipped, the warnings
+and the NaN check of the cycle that computed it (``_check_limits``), which
+depend on the effort alone while only effort limits are enforced.  With
+position or velocity limits enforced, which read the state, every cycle is
+checked.  The controller's memoised effort stays unclipped.
 
 The rule: a quiet cycle's only GIL hand-off is the check's zero-timeout
 poll.  Every release lets another thread (the publisher, the UDP receiver)
 run for up to a switch interval (5 ms) before the servo thread gets the GIL
 back, so the quiet path calls nothing else that releases it: events take
-their norm with a 1-D ``@``, and joint limits are checked against arrays
+their norm with a 1-D ``@``, and joint limits, when checked, against arrays
 built once.  A quiet cycle with no subscriber to its diagnostics hands the
 publisher nothing: the cycle's diagnostics go to it as one queue entry only
 while one of their topics has a subscriber (one lock-free read of a
@@ -385,6 +390,7 @@ class ServoRuntime:
         self.cycle_count = 0
         self._initialized = False
         self._last_command = None
+        self._limit_verdict = None  # _check_limits of the last effort
         self._prev_cycle_start = None
         self.last_model_swap_time = 0.0
         self.last_result = CycleResult()
@@ -569,13 +575,35 @@ class ServoRuntime:
             kwargs["dt"] = self.period
         command = self.wbc.compute(self.active.model, self.active.constraints,
                                    self.compound, state, **kwargs)
-        if self.limits is not None:
-            _, warnings = enforce_limits(command, self.limits)
-            for text in warnings:
-                self.publish("diagnostics/warnings", text)
-        if not np.isfinite(command.effort).all():
+        verdict = self._limit_verdict
+        if verdict is None or verdict[0] != self.wbc.effort_version:
+            verdict = self._check_limits(command)
+        else:
+            # a reused effort: its clipped values, warnings and finiteness
+            # are the last check's
+            command.effort[:] = verdict[1]
+        _, _, warnings, finite = verdict
+        for text in warnings:
+            self.publish("diagnostics/warnings", text)
+        if not finite:
             raise CommandError("command includes NaN values")
         return command
+
+    def _check_limits(self, command):
+        """Enforce the limits on a command; returns its verdict (effort
+        version, clipped effort, warnings, whether the effort is finite).
+        The verdict is kept for the cycles that reuse the effort, unless
+        position or velocity limits are enforced: those read the state."""
+        warnings = []
+        limits = self.limits
+        if limits is not None:
+            _, warnings = enforce_limits(command, limits)
+        verdict = (self.wbc.effort_version, command.effort.copy(), warnings,
+                   bool(np.isfinite(command.effort).all()))
+        if limits is None or limits.position is None \
+                and limits.velocity is None:
+            self._limit_verdict = verdict
+        return verdict
 
     def _record_cycle(self, t_cycle, t_read, t_model, t_compute, t_events,
                       t_write, now, state, command):

@@ -149,7 +149,7 @@ class Task:
         state.fresh = False
         self.version += 1
         if self._p_error is not None:
-            self._p_error.set(state.error.copy())
+            self._p_error.set(state.error)
 
     def _update_state(self, model, state):
         raise NotImplementedError
@@ -227,7 +227,7 @@ class JointPositionTask(Task):
             state.error, self.goals["goalVelocity"] - state.velocity,
             goal_qdd, dt)
         if self._p_current_acc is not None:
-            self._p_current_acc.set(np.array(goal_qdd, dtype=float))
+            self._p_current_acc.set(goal_qdd)
 
 
 class CartesianPositionTask(Task):

@@ -1,8 +1,10 @@
 import pytest
+import yaml
 
 from wbosc import fixtures
 from wbosc.config import (ConfigError, load_config, serialize_config,
                           spec_diff)
+from wbosc.description import DescriptionError, load_description, parse_yaml
 
 GOLDEN = ("dreamer22_disassembly", "dreamer22_posture", "pend1_posture")
 
@@ -297,3 +299,27 @@ constraint_set:
     new = load_config(base % "disable")
     actions = spec_diff(old, new)
     assert [(a.kind, a.name) for a in actions] == [("disable_constraint", "weld")]
+
+
+FIXTURES = [fixtures.config_path(name) for name in GOLDEN] + [
+    fixtures.robot_path(name) for name in ("dreamer22", "pend1", "planar2")
+] + [fixtures.trajectory_path("right_hand_step")]
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.name)
+def test_every_fixture_parses_alike_with_both_loaders(path):
+    text = path.read_text(encoding="utf-8")
+    assert parse_yaml(text, ConfigError) == yaml.load(text,
+                                                      Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("text", [
+    "tasks:\n  - {name: [unclosed\n",       # test_parse_error
+    "tasks:\n  - {name: [broken\n",         # criterion 11's mutation
+])
+def test_parse_error_names_its_line_and_column(text):
+    with pytest.raises(ConfigError, match=r"parse error at line 3, column 1"):
+        load_config(text)
+    with pytest.raises(DescriptionError,
+                       match=r"parse error at line 3, column 1"):
+        load_description(text)

@@ -79,6 +79,16 @@ def test_staged_input_applied_on_drain():
     assert np.array_equal(p.value, [1.0, 2.0])
 
 
+def test_a_sender_reusing_its_array_does_not_change_the_value():
+    reg = ParameterRegistry()
+    p = reg.declare("task", "goal", ParameterKind.VECTOR, np.zeros(1))
+    goal = np.array([0.1])
+    reg.stage_input("task.goal", goal)
+    reg.drain_staged()
+    goal[0] = 0.9       # no set: the value keeps what was drained
+    np.testing.assert_array_equal(p.value, [0.1])
+
+
 def test_drain_skips_on_contention():
     reg = ParameterRegistry()
     reg.declare("a", "x", ParameterKind.SCALAR, 0.0)

@@ -1,3 +1,4 @@
+import copy
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 
 from wbosc import fixtures
+from wbosc import servo as servo_module
 from wbosc.assembly import build_from_files
 from wbosc.config import ReconfigAction, load_config
 from wbosc.constraints import Constraint
+from wbosc.controller import WboscImpedance, enforce_limits
 from wbosc.model import RobotState
 from wbosc.params import Event
 from wbosc.servo import (LockstepClock, MonotonicClock, ReplyReader,
@@ -43,15 +46,22 @@ class FrozenInterface:
 
 
 def build_pend(single_threaded=None, interface=None, hooks=None,
-               frequency=None, udp_port=None):
+               frequency=None, udp_port=None, framework=(), effort_limit=None):
+    """pend1_posture; ``framework`` sets ``controlit`` settings and
+    ``effort_limit`` replaces the joint's 40 N*m."""
     text = fixtures.read_config("pend1_posture")
     if frequency is not None:
         text = text.replace("servo_frequency: 1000",
                             f"servo_frequency: {frequency}")
+    robot = fixtures.read_robot("pend1")
+    if effort_limit is not None:
+        robot = robot.replace("effort: 40.0", f"effort: {effort_limit}")
     from wbosc.assembly import AssembledController
     from wbosc.description import load_description
     spec = load_config(text)
-    description = load_description(fixtures.read_robot("pend1"))
+    for key, value in dict(framework).items():
+        setattr(spec.framework, key, value)
+    description = load_description(robot)
     return AssembledController(description, spec, interface=interface,
                                single_threaded=single_threaded, hooks=hooks,
                                udp_port=udp_port)
@@ -472,13 +482,15 @@ def test_single_threaded_recomputes_every_cycle(monkeypatch, ladder_calls):
     assert yields == []
 
 
-def held_model_process():
+def held_model_process(**kwargs):
     """A multi-threaded pend1 controller whose model process waits at its
-    seam until the returned event is set: no model is ever swapped."""
+    seam until the returned event is set: no model is ever swapped.
+    ``kwargs`` go to build_pend."""
     gate = multiprocessing.get_context("fork").Event()
     iface = FrozenInterface(1, position=[0.2])
     ctl = build_pend(interface=iface,
-                     hooks=ServoHooks(model_round=lambda: gate.wait(5.0)))
+                     hooks=ServoHooks(model_round=lambda: gate.wait(5.0)),
+                     **kwargs)
     return ctl, iface, gate
 
 
@@ -734,6 +746,118 @@ def test_quiet_cycle_hands_the_gil_over_only_at_its_poll(monkeypatch,
                     np.testing.assert_array_equal(got, want)
         finally:
             gate.set()
+
+
+# -- a reused effort reuses its limit verdict ---------------------------------------
+
+# the posture effort at q = 0.2 is about 1.6 N*m, over a 0.5 N*m limit
+EFFORT_LIMITED = dict(framework={"enforce_effort_limits": True},
+                      effort_limit=0.5)
+TRUNCATED = ["effort command for joint 'shoulder' truncated to 0.5"]
+
+
+@pytest.fixture
+def limit_checks(monkeypatch):
+    """Records every enforce_limits call the servo makes."""
+    calls = []
+    enforce = servo_module.enforce_limits
+
+    def counting(command, limits):
+        calls.append(command.effort.copy())
+        return enforce(command, limits)
+
+    monkeypatch.setattr(servo_module, "enforce_limits", counting)
+    return calls
+
+
+def run_limited(ctl, iface, cycles):
+    """The first cycle, which computes the effort, then ``cycles`` quiet
+    ones; returns the warnings published and the effort written by each."""
+    warnings = []
+    ctl.bus.subscribe("pend/diagnostics/warnings", warnings.append)
+    ctl.start()
+    per_cycle = []
+    for k in range(cycles + 1):
+        result = ctl.runtime.servo_update()
+        ctl.clock.tick()
+        assert not (result.goals_updated or result.model_swapped)
+        assert ctl.flush()
+        per_cycle.append((warnings[:], iface.last_effort.copy()))
+        del warnings[:]
+    return per_cycle
+
+
+def test_quiet_cycles_reuse_the_limit_verdict_of_a_reused_effort(
+        limit_checks, ladder_calls):
+    ctl, iface, gate = held_model_process(**EFFORT_LIMITED)
+    runtime = ctl.runtime
+    with ctl:
+        try:
+            per_cycle = run_limited(ctl, iface, 50)
+            assert len(ladder_calls) == 1 and len(limit_checks) == 1
+            # the memoised effort stays unclipped
+            memo = runtime.wbc.compute(runtime.active.model,
+                                       runtime.active.constraints,
+                                       runtime.compound, iface.read()).effort
+        finally:
+            gate.set()
+    assert abs(memo[0]) > 0.5
+    np.testing.assert_array_equal(limit_checks[0], memo)
+    first_warnings, clipped = per_cycle[0]
+    assert first_warnings == TRUNCATED and abs(clipped[0]) == 0.5
+    for warnings, effort in per_cycle[1:]:
+        assert warnings == first_warnings
+        assert effort.tobytes() == clipped.tobytes()
+
+
+def test_position_limits_are_checked_every_cycle(limit_checks):
+    framework = dict(EFFORT_LIMITED["framework"], enforce_position_limits=True)
+    ctl, iface, gate = held_model_process(framework=framework,
+                                          effort_limit=0.5)
+    with ctl:
+        try:
+            per_cycle = run_limited(ctl, iface, 50)
+        finally:
+            gate.set()
+    assert len(limit_checks) == 51
+    assert all(warnings == TRUNCATED and abs(effort[0]) == 0.5
+               for warnings, effort in per_cycle)
+
+
+def test_impedance_commands_equal_a_check_every_cycle(monkeypatch):
+    """200 cycles of WBOSC_Impedance over its effort limit, against the
+    same controller checked every cycle: bit for bit."""
+    framework = dict(EFFORT_LIMITED["framework"],
+                     whole_body_controller_type="WBOSC_Impedance")
+    ctl, iface, gate = held_model_process(framework=framework,
+                                          effort_limit=0.5)
+    runtime = ctl.runtime
+    reference = copy.deepcopy(ctl.wbc)
+    written = []
+    monkeypatch.setattr(iface, "write",
+                        lambda command: written.append(command.copy()))
+    fields = ("position", "velocity", "effort", "position_kp", "position_kd")
+    with ctl:
+        try:
+            ctl.start()
+            for _ in range(200):
+                result = runtime.servo_update()
+                assert not (result.suppressed or result.model_swapped)
+                want = reference.compute(
+                    runtime.active.model, runtime.active.constraints,
+                    runtime.compound, iface.read(), dt=runtime.period)
+                unclipped = want.effort.copy()
+                enforce_limits(want, runtime.limits)
+                ctl.clock.tick()
+                assert abs(unclipped[0]) > 0.5
+                for field in fields:
+                    assert getattr(written[-1], field).tobytes() \
+                        == getattr(want, field).tobytes(), field
+        finally:
+            gate.set()
+    assert isinstance(ctl.wbc, WboscImpedance)
+    # the internal state moved: each cycle integrated the unclipped effort
+    assert written[0].position.tobytes() != written[-1].position.tobytes()
 
 
 def servo_thread_enqueues(monkeypatch, ctl):
