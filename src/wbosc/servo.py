@@ -578,9 +578,9 @@ class ServoRuntime:
         verdict = self._limit_verdict
         if verdict is None or verdict[0] != self.wbc.effort_version:
             verdict = self._check_limits(command)
-        else:
-            # a reused effort: its clipped values, warnings and finiteness
-            # are the last check's
+        elif verdict[1] is not None:
+            # a reused effort: its clipped values, like its warnings and
+            # finiteness, are the last check's
             command.effort[:] = verdict[1]
         _, _, warnings, finite = verdict
         for text in warnings:
@@ -591,14 +591,17 @@ class ServoRuntime:
 
     def _check_limits(self, command):
         """Enforce the limits on a command; returns its verdict (effort
-        version, clipped effort, warnings, whether the effort is finite).
-        The verdict is kept for the cycles that reuse the effort, unless
-        position or velocity limits are enforced: those read the state."""
+        version, the clipped effort or None when no limit warned, warnings,
+        whether the effort is finite).  The verdict is kept for the cycles
+        that reuse the effort, unless position or velocity limits are
+        enforced: those read the state."""
         warnings = []
         limits = self.limits
         if limits is not None:
             _, warnings = enforce_limits(command, limits)
-        verdict = (self.wbc.effort_version, command.effort.copy(), warnings,
+        # with no warning nothing was clipped: the effort is the reused one
+        clipped = command.effort.copy() if warnings else None
+        verdict = (self.wbc.effort_version, clipped, warnings,
                    bool(np.isfinite(command.effort).all()))
         if limits is None or limits.position is None \
                 and limits.velocity is None:
