@@ -24,8 +24,8 @@ from .tasks import (CartesianPositionTask, CompoundTask, ComTask,
                     JointPositionTask, Orientation2DTask, Orientation3DTask,
                     PIDGains)
 from .transports import (BindingManager, FileBindingFactory, IntraBindingFactory,
-                         IntraBus, PublisherWorker, UdpBindingFactory,
-                         UdpTransport)
+                         IntraBus, PublisherWorker, TransportError,
+                         UdpBindingFactory, UdpTransport)
 
 SERVICES = (
     "getTaskParameters",
@@ -246,9 +246,13 @@ class AssembledController:
         self.binding_manager.register_factory(self.file_factory)
         if self.udp is not None:
             self.binding_manager.register_factory(
-                UdpBindingFactory(self.udp, self.publisher, clock_fn))
-        for bcfg in spec.bindings:
-            self.binding_manager.bind(self.registry, bcfg)
+                UdpBindingFactory(self.udp, clock_fn))
+        try:
+            for bcfg in spec.bindings:
+                self.binding_manager.bind(self.registry, bcfg)
+        except TransportError as exc:
+            self._close_io()
+            raise AssemblyError(f"bindings: {exc}") from None
         if self.udp is not None:
             # remote processes can set any input-bound parameter by name
             for bcfg in spec.bindings:
@@ -335,6 +339,11 @@ class AssembledController:
 
     def close(self):
         self.runtime.stop()
+        self._close_io()
+
+    def _close_io(self):
+        """Stop the interface's, publisher's and transports' threads and
+        close their files and socket."""
         if isinstance(self.interface, FreerunSimInterface):
             self.interface.stop()
         self.publisher.stop()
@@ -437,7 +446,9 @@ class AssembledController:
 class _UdpRemoteInterface:
     """Speaks the wire format on robot/state and robot/command, letting an
     external process stand in for the plant.  A read timeout holds the last
-    state and command; the warning is published by the runtime's channel."""
+    state and command; the warning is published by the runtime's channel.
+    write() sends from the servo thread and never waits: a command whose
+    send would block or fails is counted in ``dropped``."""
 
     def __init__(self, assembled, n_joints):
         from .model import RobotState
@@ -447,6 +458,7 @@ class _UdpRemoteInterface:
                                  np.zeros(n_joints))
         self._fresh = False
         self._peer = None
+        self.dropped = 0
         assembled.udp.register_input("robot/state", self._on_state,
                                      with_addr=True)
 
@@ -473,7 +485,10 @@ class _UdpRemoteInterface:
             return
         vec = np.concatenate([command.effort, command.position,
                               command.velocity])
-        self.assembled.udp.send_publish("robot/command", vec, self._peer)
+        try:
+            self.assembled.udp.send_publish("robot/command", vec, self._peer)
+        except OSError:     # BlockingIOError included
+            self.dropped += 1
 
 
 def _jsonable(value):

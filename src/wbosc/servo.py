@@ -48,7 +48,10 @@ position or velocity limits enforced, which read the state, every cycle is
 checked.  The controller's memoised effort stays unclipped.
 
 The rule: a quiet cycle's only GIL hand-off is the check's zero-timeout
-poll.  Every release lets another thread (the publisher, the UDP receiver)
+poll; a cycle whose goal half sets a UDP-bound parameter hands it over once
+more, at that binding's non-blocking sendto, which it makes itself instead
+of waking the publisher.  Every release lets another thread (the publisher,
+the UDP receiver)
 run for up to a switch interval (5 ms) before the servo thread gets the GIL
 back, so the quiet path calls nothing else that releases it: events take
 their norm with a 1-D ``@``, and joint limits, when checked, against arrays

@@ -10,10 +10,14 @@ Wire format (little-endian), shared by publishes and services:
             2 bool (u8), 3 UTF-8 string (u32 length + bytes)
     payload per vkind
 
-Publishing is offloaded from the servo executor through a bounded queue
-drained by a publisher worker thread; on overflow the oldest entry is
-dropped and counted, and so is a dropped output-binding value, on its
-binding.  Output bindings rate-limit at enqueue time against the runtime
+A UDP output binding sends each value from the thread that sets its
+parameter, with one non-blocking ``sendto`` to a peer resolved when the
+binding is made; a send that would block or fails is counted as a dropped
+value on its binding.  Intra-bus and CSV outputs, events and cycle
+diagnostics, whose subscribers and file writes can block, go through a
+bounded queue drained by a publisher worker thread; on overflow the oldest
+entry is dropped and counted, and so is a dropped output-binding value, on
+its binding.  Output bindings rate-limit at offer time against the runtime
 clock.
 """
 
@@ -21,6 +25,7 @@ import csv
 import io
 import json
 import os
+import select
 import socket
 import struct
 import threading
@@ -171,7 +176,8 @@ class IntraBus:
 # -- publisher offload ----------------------------------------------------------------
 
 class PublisherWorker:
-    """Bounded publish queue drained off the servo context.
+    """Bounded publish queue drained off the servo context, for the sinks
+    that can block: intra-bus and CSV outputs, events and cycle diagnostics.
 
     Overflow drops the oldest entry and counts the drop, in ``drops`` and,
     when the entry was enqueued with an owner, in that owner's ``dropped``;
@@ -280,10 +286,12 @@ class BindingConfig:
 
 
 class OutputBinding:
-    """Attached to a parameter; offer() applies the rate limit and enqueues.
+    """Attached to a parameter; offer() applies the rate limit, then hands
+    the value to the publisher or, with none, to the sink itself.
 
-    Every value counted in ``published`` is delivered to the sink or, when
-    the publisher's queue overflows, counted in ``dropped``."""
+    Every value counted in ``published`` is delivered to the sink or counted
+    in ``dropped``: when the publisher's queue overflows or, with no
+    publisher, when the sink's send would block or fails (``OSError``)."""
 
     def __init__(self, config, sink, publisher, clock=time.monotonic):
         self.config = config
@@ -308,7 +316,10 @@ class OutputBinding:
             self._last_publish = now
         self.published += 1
         if self._publisher is None:
-            self._sink(self.topic, value)
+            try:
+                self._sink(self.topic, value)
+            except OSError:     # BlockingIOError included: never waits
+                self.dropped += 1
         else:
             self._publisher.enqueue(self._sink, self.topic, value, self)
         return True
@@ -390,12 +401,17 @@ class FileBindingFactory:
 
 class UdpTransport:
     """One UDP socket: topic publishes out, staged parameter inputs in, and
-    request/response services, all in the shared wire format."""
+    request/response services, all in the shared wire format.
+
+    The socket is non-blocking, so a send never waits (a full buffer raises
+    ``BlockingIOError``) and polls nothing first: a socket with a Python
+    timeout polls before every send, releasing the GIL, and can wait there.
+    The receive thread waits in its own poll instead."""
 
     def __init__(self, local_port=0, default_peer=None):
         self.socket = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.socket.bind(("127.0.0.1", local_port))
-        self.socket.settimeout(0.2)
+        self.socket.setblocking(False)
         self.port = self.socket.getsockname()[1]
         self.default_peer = default_peer
         self._input_topics = {}
@@ -449,10 +465,14 @@ class UdpTransport:
         return json.loads(response)
 
     def _run(self):
+        poller = select.poll()
+        poller.register(self.socket, select.POLLIN)
         while not self._stop.is_set():
+            if not poller.poll(200):
+                continue
             try:
                 data, addr = self.socket.recvfrom(65536)
-            except socket.timeout:
+            except BlockingIOError:
                 continue
             except OSError:
                 return
@@ -474,9 +494,13 @@ class UdpTransport:
                     response = self._service_handler(name, args)
                 except Exception as exc:
                     response = {"error": str(exc)}
-                self.socket.sendto(
-                    encode_message(KIND_SERVICE_RESPONSE, name,
-                                   json.dumps(response), request_id), addr)
+                try:
+                    self.socket.sendto(
+                        encode_message(KIND_SERVICE_RESPONSE, name,
+                                       json.dumps(response), request_id),
+                        addr)
+                except OSError:
+                    pass    # a response that cannot go out is dropped
             elif kind == KIND_SERVICE_RESPONSE:
                 with self._pending_lock:
                     entry = self._pending.get(request_id)
@@ -486,11 +510,14 @@ class UdpTransport:
 
 
 class UdpBindingFactory:
+    """Output bindings send inline, from the thread that sets the parameter
+    (the servo thread), through the transport's non-blocking socket; they
+    have no publisher."""
+
     transport_type = "udp"
 
-    def __init__(self, transport, publisher=None, clock=time.monotonic):
+    def __init__(self, transport, clock=time.monotonic):
         self.transport = transport
-        self.publisher = publisher
         self.clock = clock
 
     def create(self, config, registry, parameter):
@@ -500,7 +527,7 @@ class UdpBindingFactory:
             def sink(topic, value):
                 self.transport.send_publish(topic, value, peer)
 
-            return OutputBinding(config, sink, self.publisher, self.clock)
+            return OutputBinding(config, sink, None, self.clock)
         name = parameter.name
 
         def receive(value):
@@ -510,11 +537,29 @@ class UdpBindingFactory:
         return InputBinding(config)
 
     def _peer(self, config):
-        host = config.properties.get("host", "127.0.0.1")
+        """The binding's peer as a numeric address, resolved once here: a
+        send to a host name would resolve it on every call."""
         port = config.properties.get("port")
         if port is None:
-            return self.transport.default_peer
-        return (host, int(port))
+            peer = self.transport.default_peer
+            if peer is None:
+                raise TransportError(
+                    f"udp output binding for {config.parameter!r} on "
+                    f"{config.topic!r}: no port and no default peer")
+        else:
+            peer = (config.properties.get("host", "127.0.0.1"), int(port))
+            if not 0 < peer[1] < 65536:
+                # getaddrinfo would wrap it into range
+                raise TransportError(
+                    f"udp output binding for {config.parameter!r}: port "
+                    f"{peer[1]} out of range")
+        try:
+            return socket.getaddrinfo(peer[0], peer[1], socket.AF_INET,
+                                      socket.SOCK_DGRAM)[0][4]
+        except socket.gaierror as exc:
+            raise TransportError(
+                f"udp output binding for {config.parameter!r}: cannot "
+                f"resolve {peer[0]!r}: {exc}") from None
 
 
 class BindingManager:

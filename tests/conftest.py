@@ -1,4 +1,5 @@
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -114,3 +115,38 @@ def fd_angular_jacobian(model, q, link, h=1e-6):
 def assert_jacobian_close(J, J_fd, rel=1e-5):
     scale = max(1.0, np.abs(J_fd).max())
     assert np.abs(J - J_fd).max() < rel * scale
+
+
+class StubSocket:
+    """Stands in for a transport's socket: records each ``sendto`` address
+    and raises ``failures[k]`` instead of the k-th send (counted from 0);
+    every other call goes to the real socket."""
+
+    def __init__(self, sock, failures=()):
+        self._sock = sock
+        self.failures = dict(failures)
+        self.sent_to = []
+
+    def sendto(self, data, addr):
+        k = len(self.sent_to)
+        self.sent_to.append(addr)
+        if k in self.failures:
+            raise self.failures[k]
+        return self._sock.sendto(data, addr)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def receive_all(sock, expected, timeout=1.0):
+    """The datagrams on non-blocking ``sock``, read until ``expected`` of
+    them have arrived or ``timeout`` seconds have passed without one."""
+    got = []
+    deadline = time.monotonic() + timeout
+    while len(got) < expected and time.monotonic() < deadline:
+        try:
+            got.append(sock.recv(65536))
+            deadline = time.monotonic() + timeout
+        except BlockingIOError:
+            time.sleep(0.001)
+    return got

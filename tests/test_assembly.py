@@ -1,3 +1,4 @@
+import threading
 import time
 
 import numpy as np
@@ -151,6 +152,23 @@ def test_udp_remote_interface_round_trip():
     finally:
         client.close()
         ctl.close()
+
+
+def test_udp_output_binding_without_a_peer_fails_at_build():
+    text = fixtures.read_config("pend1_posture").replace(
+        "topic: errors/posture\n    transport_type: intra",
+        "topic: errors/posture\n    transport_type: udp")
+    assert "transport_type: udp" in text
+    from wbosc.assembly import AssembledController, AssemblyError
+    from wbosc.description import load_description
+    before = set(threading.enumerate())
+    with pytest.raises(AssemblyError, match="posture.error.*no port"):
+        AssembledController(load_description(fixtures.read_robot("pend1")),
+                            load_config(text), single_threaded=True)
+    # the transport and publisher threads it started are stopped
+    left = [t for t in threading.enumerate()
+            if t not in before and t.is_alive()]
+    assert left == []
 
 
 def test_impedance_controller_end_to_end():

@@ -1,4 +1,5 @@
 import copy
+import errno
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -14,6 +15,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import StubSocket, receive_all
 from wbosc import fixtures
 from wbosc import servo as servo_module
 from wbosc.assembly import build_from_files
@@ -24,6 +26,7 @@ from wbosc.model import RobotState
 from wbosc.params import Event
 from wbosc.servo import (LockstepClock, MonotonicClock, ReplyReader,
                          ServoError, ServoHooks, make_clock)
+from wbosc.transports import KIND_PUBLISH, decode_message, encode_message
 
 
 class FrozenInterface:
@@ -46,10 +49,20 @@ class FrozenInterface:
 
 
 def build_pend(single_threaded=None, interface=None, hooks=None,
-               frequency=None, udp_port=None, framework=(), effort_limit=None):
-    """pend1_posture; ``framework`` sets ``controlit`` settings and
-    ``effort_limit`` replaces the joint's 40 N*m."""
+               frequency=None, udp_port=None, framework=(), effort_limit=None,
+               error_peer=None):
+    """pend1_posture; ``framework`` sets ``controlit`` settings,
+    ``effort_limit`` replaces the joint's 40 N*m and ``error_peer``, a
+    (host, port), sends ``posture.error`` there over UDP instead of on the
+    bus."""
     text = fixtures.read_config("pend1_posture")
+    if error_peer is not None:
+        bus_output = "topic: errors/posture\n    transport_type: intra"
+        assert bus_output in text
+        text = text.replace(bus_output, (
+            "topic: errors/posture\n    transport_type: udp\n"
+            "    properties:\n      - host: {}\n      - port: {}"
+        ).format(*error_peer))
     if frequency is not None:
         text = text.replace("servo_frequency: 1000",
                             f"servo_frequency: {frequency}")
@@ -423,6 +436,11 @@ def test_randomized_stress_no_blocking_no_losses(monkeypatch):
                      hooks=delayed(lambda: float(rng.uniform(0.0, 0.0004))))
     with ctl:
         ctl.start()
+        # the first cycle sends a request; once its reply is whole, the
+        # first counted cycle has a reply to read on a host of any speed
+        ctl.runtime.servo_update()
+        ctl.clock.tick()
+        assert ctl.runtime.wait_idle()
         io = ModelIO(monkeypatch, ctl.runtime)
         first = ctl.runtime.active.seq
         for _ in range(3000):
@@ -1016,6 +1034,151 @@ def test_nan_task_suppressed_every_cycle_and_last_command_held():
             assert np.array_equal(iface.last_effort, good)
             time.sleep(1e-4)
         assert ctl.runtime.stats.suppressed_commands >= 51
+
+
+# -- UDP outputs send from the servo thread -----------------------------------------
+
+@pytest.fixture
+def error_receiver():
+    """A non-blocking socket on 127.0.0.1 for ``posture.error`` datagrams."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.setblocking(False)
+    yield sock
+    sock.close()
+
+
+def error_binding(ctl):
+    return next(b for b in ctl.binding_manager.bindings
+                if b.topic == "errors/posture")
+
+
+def decoded_errors(datagrams):
+    values = []
+    for data in datagrams:
+        kind, name, value, _ = decode_message(data)
+        assert (kind, name) == (KIND_PUBLISH, "errors/posture")
+        values.append(value)
+    return values
+
+
+def test_udp_output_binding_sends_from_the_servo_thread(monkeypatch,
+                                                        error_receiver):
+    """Each cycle's error goes out in that cycle, as one datagram sent by
+    the servo thread, and the publisher queue sees none of them."""
+    ctl = build_pend(single_threaded=True,
+                     error_peer=error_receiver.getsockname())
+    enqueued = []
+    with ctl:
+        enqueue = ctl.publisher.enqueue
+
+        def counting_enqueue(sink, topic, value, owner=None):
+            enqueued.append(topic)
+            enqueue(sink, topic, value, owner)
+
+        monkeypatch.setattr(ctl.publisher, "enqueue", counting_enqueue)
+        ctl.registry.stage_input("posture.goalPosition", np.array([0.3]))
+        error = ctl.registry.require("posture.error")
+        ctl.start()             # its goal halves publish the first error
+        errors, datagrams = [error.value.copy()], []
+        for _ in range(200):
+            ctl.run(cycles=1)
+            errors.append(error.value.copy())
+            datagrams += receive_all(error_receiver, 1, timeout=0.0)
+        binding = error_binding(ctl)
+        datagrams += receive_all(error_receiver,
+                                 binding.published - len(datagrams))
+        assert receive_all(error_receiver, 1, timeout=0.05) == []
+    assert enqueued == []
+    assert binding.published == 201 and binding.dropped == 0
+    received = decoded_errors(datagrams)
+    assert len(received) == binding.published
+    for got, want in zip(received, errors):
+        assert got.tobytes() == want.tobytes()
+    assert len({e.tobytes() for e in errors}) > 100     # the errors moved
+
+
+def test_udp_send_failures_are_dropped_values_not_command_errors(
+        error_receiver):
+    """A send that would block and one that fails are dropped values on the
+    binding; neither reaches the cycle."""
+    ctl = build_pend(single_threaded=True,
+                     error_peer=error_receiver.getsockname())
+    with ctl:
+        ctl.start()
+        stub = StubSocket(ctl.udp.socket, {
+            50: BlockingIOError(errno.EAGAIN, "would block"),
+            120: OSError(errno.ENETUNREACH, "network unreachable")})
+        ctl.udp.socket = stub
+        datagrams = []
+        for _ in range(200):
+            result = ctl.runtime.servo_update()
+            ctl.clock.tick()
+            assert not result.suppressed
+            datagrams += receive_all(error_receiver, 1, timeout=0.0)
+        binding = error_binding(ctl)
+        datagrams += receive_all(error_receiver,
+                                 binding.published - 2 - len(datagrams))
+        assert receive_all(error_receiver, 1, timeout=0.05) == []
+        assert ctl.runtime.stats.suppressed_commands == 0
+    assert len(stub.sent_to) == binding.published - 1 == 200   # 1: start()
+    assert binding.dropped == 2
+    assert binding.published == len(decoded_errors(datagrams)) \
+        + binding.dropped
+
+
+def test_udp_output_peer_is_resolved_once_when_bound(monkeypatch,
+                                                     error_receiver):
+    port = error_receiver.getsockname()[1]
+    ctl = build_pend(single_threaded=True, error_peer=("localhost", port))
+    lookups = []
+    getaddrinfo = socket.getaddrinfo
+
+    def counting(*args, **kwargs):
+        lookups.append(args)
+        return getaddrinfo(*args, **kwargs)
+
+    with ctl:
+        ctl.start()
+        stub = StubSocket(ctl.udp.socket)
+        ctl.udp.socket = stub
+        monkeypatch.setattr(socket, "getaddrinfo", counting)
+        ctl.run(cycles=100)
+    assert lookups == []
+    # a numeric address: the kernel's sendto resolves nothing either
+    assert set(stub.sent_to) == {("127.0.0.1", port)}
+
+
+def test_udp_remote_command_that_would_block_is_counted_not_waited_for():
+    text = fixtures.read_config("pend1_posture").replace(
+        "robot_interface_type: sim-lockstep",
+        "robot_interface_type: udp-remote")
+    from wbosc.assembly import AssembledController
+    from wbosc.description import load_description
+    ctl = AssembledController(load_description(fixtures.read_robot("pend1")),
+                              load_config(text), single_threaded=True,
+                              udp_port=0)
+    client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    client.bind(("127.0.0.1", 0))
+    try:
+        ctl.start()
+        stub = StubSocket(ctl.udp.socket, {
+            0: BlockingIOError(errno.EAGAIN, "would block")})
+        ctl.udp.socket = stub
+        state = encode_message(KIND_PUBLISH, "robot/state",
+                               np.array([0.0, 0.1, 0.0, 0.0]))
+        client.sendto(state, ("127.0.0.1", ctl.udp.port))
+        deadline = time.monotonic() + 2.0
+        while ctl.interface._peer is None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        result = ctl.runtime.servo_update()
+        assert not result.suppressed
+        assert ctl.runtime.stats.suppressed_commands == 0
+        assert stub.sent_to == [client.getsockname()]
+        assert ctl.interface.dropped == 1
+    finally:
+        client.close()
+        ctl.close()
 
 
 # -- update failures ---------------------------------------------------------------

@@ -1,10 +1,13 @@
 import csv
+import errno
+import socket
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from conftest import StubSocket
 from wbosc.params import ParameterKind, ParameterRegistry
 from wbosc.transports import (BindingConfig, BindingManager, FileBindingFactory,
                               IntraBindingFactory, IntraBus, OutputBinding,
@@ -292,7 +295,7 @@ def test_udp_roundtrip_bit_exact():
     client = UdpTransport(default_peer=("127.0.0.1", server.port))
     try:
         manager = BindingManager()
-        manager.register_factory(UdpBindingFactory(server, publisher=None))
+        manager.register_factory(UdpBindingFactory(server))
         manager.bind(reg, BindingConfig("task.goal", "input", "udp", "goals"))
         value = np.array([0.1, -0.25, 1e-13])
         client.send_publish("goals", value)
@@ -316,7 +319,7 @@ def test_udp_echo_roundtrip_preserves_bits():
     client.register_input("echo", received.append)
     try:
         manager = BindingManager()
-        manager.register_factory(UdpBindingFactory(server, publisher=None))
+        manager.register_factory(UdpBindingFactory(server))
         manager.bind(reg, BindingConfig("task.goal", "input", "udp", "goals"))
         manager.bind(reg, BindingConfig(
             "task.goal", "output", "udp", "echo",
@@ -330,6 +333,49 @@ def test_udp_echo_roundtrip_preserves_bits():
                 break
             time.sleep(0.005)
         assert received and np.array_equal(received[0], value)
+    finally:
+        client.close()
+        server.close()
+
+
+@pytest.mark.parametrize("properties, match", [
+    ({}, "no port and no default peer"),
+    ({"port": 70000}, "port 70000 out of range"),
+    ({"host": "unresolvable", "port": 9}, "cannot resolve"),
+])
+def test_udp_output_binding_without_a_usable_peer_fails_when_bound(
+        monkeypatch, properties, match):
+    def no_resolver(host, *args):
+        # no name service is asked: only numeric hosts resolve
+        if host != "127.0.0.1":
+            raise socket.gaierror(socket.EAI_NONAME, "unknown host")
+        return getaddrinfo(host, *args)
+
+    getaddrinfo = socket.getaddrinfo
+    monkeypatch.setattr(socket, "getaddrinfo", no_resolver)
+    reg = make_registry()
+    server = UdpTransport()
+    try:
+        manager = BindingManager()
+        manager.register_factory(UdpBindingFactory(server))
+        with pytest.raises(TransportError, match=f"task.error.*{match}"):
+            manager.bind(reg, BindingConfig("task.error", "output", "udp",
+                                            "errors", properties))
+    finally:
+        server.close()
+
+
+def test_udp_service_response_that_cannot_be_sent_is_dropped():
+    server = UdpTransport()
+    server.set_service_handler(lambda name, args: {"service": name})
+    server.socket = StubSocket(server.socket, {
+        0: BlockingIOError(errno.EAGAIN, "would block")})
+    client = UdpTransport(default_peer=("127.0.0.1", server.port))
+    try:
+        with pytest.raises(TransportError, match="timed out"):
+            client.request("first", {}, timeout=0.2)
+        # the receive thread lived on to answer the next request
+        assert client.request("second", {}) == {"service": "second"}
     finally:
         client.close()
         server.close()
