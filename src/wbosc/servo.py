@@ -51,11 +51,10 @@ The rule: a quiet cycle's only GIL hand-off is the check's zero-timeout
 poll; a cycle whose goal half sets a UDP-bound parameter hands it over once
 more, at that binding's non-blocking sendto, which it makes itself instead
 of waking the publisher.  Every release lets another thread (the publisher,
-the UDP receiver)
-run for up to a switch interval (5 ms) before the servo thread gets the GIL
-back, so the quiet path calls nothing else that releases it: events take
-their norm with a 1-D ``@``, and joint limits, when checked, against arrays
-built once.  A quiet cycle with no subscriber to its diagnostics hands the
+the UDP receiver) run for up to a switch interval (5 ms) before the servo
+thread gets the GIL back, so the quiet path calls nothing else that
+releases it: events take their norm with a 1-D ``@``, and joint limits,
+when checked, against arrays built once.  A quiet cycle with no subscriber to its diagnostics hands the
 publisher nothing: the cycle's diagnostics go to it as one queue entry only
 while one of their topics has a subscriber (one lock-free read of a
 ``TopicWatch``; a subscription takes effect from the next cycle).  Nor does
