@@ -539,27 +539,24 @@ class UdpBindingFactory:
     def _peer(self, config):
         """The binding's peer as a numeric address, resolved once here: a
         send to a host name would resolve it on every call."""
+        where = (f"udp output binding for {config.parameter!r} on "
+                 f"{config.topic!r}")
         port = config.properties.get("port")
         if port is None:
             peer = self.transport.default_peer
             if peer is None:
-                raise TransportError(
-                    f"udp output binding for {config.parameter!r} on "
-                    f"{config.topic!r}: no port and no default peer")
+                raise TransportError(f"{where}: no port and no default peer")
         else:
             peer = (config.properties.get("host", "127.0.0.1"), int(port))
             if not 0 < peer[1] < 65536:
                 # getaddrinfo would wrap it into range
-                raise TransportError(
-                    f"udp output binding for {config.parameter!r}: port "
-                    f"{peer[1]} out of range")
+                raise TransportError(f"{where}: port {peer[1]} out of range")
         try:
             return socket.getaddrinfo(peer[0], peer[1], socket.AF_INET,
                                       socket.SOCK_DGRAM)[0][4]
         except socket.gaierror as exc:
             raise TransportError(
-                f"udp output binding for {config.parameter!r}: cannot "
-                f"resolve {peer[0]!r}: {exc}") from None
+                f"{where}: cannot resolve {peer[0]!r}: {exc}") from None
 
 
 class BindingManager:
