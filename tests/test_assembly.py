@@ -272,3 +272,43 @@ def test_wrong_length_limit_list_rejected_at_build(line, key):
     with pytest.raises(AssemblyError, match=f"{key} lists .* values for 1 "
                                             f"joints"):
         AssembledController(description, spec, single_threaded=True)
+
+
+def test_plant_holds_the_enabled_constraints_of_the_config():
+    from wbosc.assembly import AssembledController
+    from wbosc.description import load_description
+    from wbosc.plant import Transmission
+    # torso_upper_pitch = 2 * torso_lower_pitch satisfies the ratio-2 drive
+    spec = load_config("""
+tasks:
+  - name: posture
+    type: JointPositionTask
+    kp: 10.0
+    goalPosition: [0.05, 0.1,
+                   -0.3, -0.15, 0.0, -1.3, 0.0, 0.0, 0.0,
+                   -0.3, 0.15, 0.0, -1.3, 0.0, 0.0, 0.0]
+constraints:
+  - {name: baseWeld, type: FlatContactConstraint, link: torso_base}
+  - {name: leftHandFlat, type: FlatContactConstraint, link: left_hand}
+  - {name: rightHandPoint, type: PointContactConstraint, link: right_hand,
+     point: [0.0, 0.01, -0.08]}
+  - {name: forearmFlat, type: FlatContactConstraint, link: right_forearm}
+  - {name: torsoTransmission, type: CoactuationConstraint,
+     masterJoint: torso_lower_pitch, slaveJoint: torso_upper_pitch,
+     transmissionRatio: 2.0}
+compound_task:
+  - {name: posture, priority: 0, operational_state: enable}
+constraint_set:
+  - {name: forearmFlat, operational_state: disable}
+""")
+    description = load_description(fixtures.read_robot("dreamer22"))
+    with AssembledController(description, spec, single_threaded=True) as ctl:
+        plant = ctl.plant
+        assert plant.weld_base == "torso_base"
+        assert plant.transmissions == [
+            Transmission("torso_lower_pitch", "torso_upper_pitch", 2.0)]
+        assert [link for link, _ in plant.contacts] == ["left_hand",
+                                                        "right_hand"]
+        assert plant.contacts[0][1] is None
+        np.testing.assert_array_equal(plant.contacts[1][1], [0.0, 0.01, -0.08])
+
