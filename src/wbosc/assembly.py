@@ -12,8 +12,7 @@ import numpy as np
 from .config import load_config_file
 from .constraints import (CoactuationConstraint, ConstraintSet,
                           FlatContactConstraint, PointContactConstraint)
-from .controller import (CONTROLLER_TYPES, JointLimits, LimitFlags, Wbosc,
-                         WboscImpedance)
+from .controller import CONTROLLER_TYPES, JointLimits, LimitFlags
 from .description import load_description_file
 from .model import RobotModel
 from .params import ParameterRegistry
@@ -205,12 +204,8 @@ class AssembledController:
         # controller -----------------------------------------------------------
         names = model.ordering.real_joint_names
         mask = np.array([n in fw.gravity_compensation_mask for n in names])
-        controller_cls = CONTROLLER_TYPES[fw.whole_body_controller_type]
-        if controller_cls is WboscImpedance:
-            self.wbc = WboscImpedance(model.n_dofs, model.n_joints,
-                                      gravity_mask=mask)
-        else:
-            self.wbc = Wbosc(model.n_dofs, model.n_joints, gravity_mask=mask)
+        self.wbc = CONTROLLER_TYPES[fw.whole_body_controller_type](
+            model.n_dofs, model.n_joints, gravity_mask=mask)
         try:
             self.limits = JointLimits(self.description, names, LimitFlags(
                 effort=fw.enforce_effort_limits,
@@ -288,25 +283,17 @@ class AssembledController:
         contacts = []
         model = self.servo_model.model
         root = self.description.root_link_name
-        enabled = {e.name: e.enabled for e in self.spec.constraint_set}
-        for cspec in self.spec.constraints:
-            if not enabled.get(cspec.name, True):
-                continue
-            if cspec.type == "CoactuationConstraint":
+        for c in self.servo_model.constraints.enabled_constraints():
+            if isinstance(c, CoactuationConstraint):
                 transmissions.append(Transmission(
-                    cspec.parameters["masterJoint"],
-                    cspec.parameters["slaveJoint"],
-                    cspec.parameters.get("transmissionRatio", 1.0)))
-            elif cspec.type == "FlatContactConstraint":
-                link = cspec.parameters["link"]
-                if link == root:
-                    weld = link
+                    c.master_joint, c.slave_joint, c.transmission_ratio))
+            elif isinstance(c, PointContactConstraint):
+                contacts.append((c.link, c.point.copy()))
+            elif isinstance(c, FlatContactConstraint):
+                if c.link == root:
+                    weld = c.link
                 else:
-                    contacts.append((link, None))
-            elif cspec.type == "PointContactConstraint":
-                contacts.append((cspec.parameters["link"],
-                                 np.asarray(cspec.parameters.get(
-                                     "point", (0, 0, 0)), dtype=float)))
+                    contacts.append((c.link, None))
         if model.ordering.virtual_indices and weld is None:
             raise AssemblyError(
                 "floating-base robot needs a flat contact constraint on the "

@@ -16,7 +16,7 @@ configuration are dangerous.  Event expressions are compiled eagerly so a
 bad expression fails the load, not the servo loop.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -94,22 +94,10 @@ class FrameworkParams:
     log_level: str = "INFO"
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "servo_frequency": self.servo_frequency,
-            "single_threaded_model": self.single_threaded_model,
-            "single_threaded_tasks": self.single_threaded_tasks,
-            "world_gravity": list(self.world_gravity),
-            "gravity_compensation_mask": list(self.gravity_compensation_mask),
-            "enforce_effort_limits": self.enforce_effort_limits,
-            "enforce_position_limits": self.enforce_position_limits,
-            "enforce_velocity_limits": self.enforce_velocity_limits,
-            "max_effort_command": self.max_effort_command,
-            "whole_body_controller_type": self.whole_body_controller_type,
-            "robot_interface_type": self.robot_interface_type,
-            "servo_clock_type": self.servo_clock_type,
-            "log_level": self.log_level,
-        }
+        """The fields in declaration order, tuples as lists."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in values}
 
 
 @dataclass

@@ -44,10 +44,6 @@ class Constraint:
     def jacobian(self, model, out=None):
         raise NotImplementedError
 
-    def constrained_joint_names(self, model):
-        """Real joints this constraint removes freedom from."""
-        return ()
-
     def declare_parameters(self, registry):
         from .params import ParameterKind
         registry.declare(self.name, "enabled", ParameterKind.BOOLEAN, True,
@@ -67,9 +63,6 @@ class FlatContactConstraint(Constraint):
     def jacobian(self, model, out=None):
         return model.spatial_jacobian(self.link, out=out)
 
-    def constrained_joint_names(self, model):
-        return model.path_joint_names(self.link)
-
 
 class PointContactConstraint(Constraint):
     """Pins a link-frame point: translation only."""
@@ -84,9 +77,6 @@ class PointContactConstraint(Constraint):
 
     def jacobian(self, model, out=None):
         return model.point_jacobian(self.link, self.point, out=out)
-
-    def constrained_joint_names(self, model):
-        return model.path_joint_names(self.link)
 
 
 class CoactuationConstraint(Constraint):
@@ -117,9 +107,6 @@ class CoactuationConstraint(Constraint):
         out[0, model.joint_dof_index(self.master_joint)] = -self.transmission_ratio
         return out
 
-    def constrained_joint_names(self, model):
-        return (self.slave_joint,)
-
     def declare_parameters(self, registry):
         from .params import ParameterKind
         super().declare_parameters(registry)
@@ -148,7 +135,6 @@ class ConstraintSet:
         self.Phi = None
         self.UNcBarL = None
         self.version = 0            # bumped by every update
-        self._constrained_joints = set()
 
     def add(self, constraint):
         self.constraints.append(constraint)
@@ -166,8 +152,7 @@ class ConstraintSet:
         return sum(c.constrained_dof_count for c in self.enabled_constraints())
 
     # everything update fills
-    UPDATED = ("Ainv", "J_c", "N_c", "UNcBar", "Lstar", "Phi", "UNcBarL",
-               "_constrained_joints")
+    UPDATED = ("Ainv", "J_c", "N_c", "UNcBar", "Lstar", "Phi", "UNcBarL")
 
     def updated(self):
         return tuple(getattr(self, name) for name in self.UPDATED)
@@ -189,10 +174,8 @@ class ConstraintSet:
         if self.J_c is None or self.J_c.shape != (rows, n):
             self.J_c = np.zeros((rows, n))
         r = 0
-        self._constrained_joints = set()
         for c in enabled:
             c.jacobian(model, out=self.J_c[r:r + c.constrained_dof_count])
-            self._constrained_joints.update(c.constrained_joint_names(model))
             r += c.constrained_dof_count
         if rows == 0:
             self.N_c = np.eye(n)
@@ -213,9 +196,6 @@ class ConstraintSet:
         self.UNcBarL = self.UNcBar @ (V[:, keep] * np.sqrt(w[keep]))
         self.version += 1
         return self
-
-    def is_constrained(self, joint_name):
-        return joint_name in self._constrained_joints
 
     def motion_basis(self):
         """Orthonormal basis of null(J_c): the admissible motion directions."""

@@ -300,9 +300,6 @@ class Wbosc:
                        and np.isfinite(task.active_state.command).all())]
         return bad or [task.name for task in stack.tasks]
 
-    def mobility_metric(self, model, constraint_set):
-        return constraint_set.Phi
-
 
 class WboscImpedance(Wbosc):
     """Effort controller plus an internal joint-space model.

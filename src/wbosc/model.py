@@ -282,12 +282,6 @@ class RobotModel:
         except KeyError:
             raise ModelError(f"unknown joint {joint_name!r}") from None
 
-    def path_joint_names(self, link_name):
-        """Names of the real joints on the link's path to the root."""
-        path = np.flatnonzero(self._P[self.body_index(link_name)])
-        return tuple(self.ordering.real_joint_names[d - self._n_virtual]
-                     for d in path if d >= self._n_virtual)
-
     def link_transform(self, link_name):
         self._require_fresh()
         return self._T[self.body_index(link_name)]

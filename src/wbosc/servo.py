@@ -88,7 +88,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import CommandError, WboscImpedance, enforce_limits
-from .transports import TopicWatch
 
 PHASES = ("read", "update_model", "compute_command", "emit_events", "write")
 # published under <name>/diagnostics/, in this order, every cycle while one
@@ -361,12 +360,11 @@ class ServoRuntime:
 
     ``publish(topics, values)`` hands values[i] for topics[i] off the servo
     thread as one unit, in order; ``watch(topics)`` returns a TopicWatch
-    (``IntraBus.watch``), and without one no cycle diagnostics are
-    published; ``limits`` is a JointLimits for the command, or None."""
+    (``IntraBus.watch``); ``limits`` is the command's JointLimits."""
 
     def __init__(self, name, servo_model, compound, wbc, interface, clock,
-                 registry=None, publish=None, watch=None, limits=None,
-                 single_threaded=False, hooks=None, history=2048):
+                 registry, publish, watch, limits, single_threaded=False,
+                 hooks=None, history=2048):
         self.name = name
         self.compound = compound
         self.wbc = wbc
@@ -377,8 +375,7 @@ class ServoRuntime:
         self.limits = limits
         self._diagnostics_topics = tuple(
             f"{name}/diagnostics/{topic}" for topic in CYCLE_DIAGNOSTICS)
-        self._diagnostics = TopicWatch(()) if publish is None \
-            or watch is None else watch(self._diagnostics_topics)
+        self._diagnostics = watch(self._diagnostics_topics)
         self.single_threaded = single_threaded
         self.hooks = hooks or ServoHooks()
         self.stats = RuntimeStats()
@@ -509,8 +506,7 @@ class ServoRuntime:
             raise ServoError("servo_init has not run")
         t_cycle = time.perf_counter()
         now = self.clock.now()
-        if self.registry is not None \
-                and self.registry.drain_staged(warn=self._warn):
+        if self.registry.drain_staged(warn=self._warn):
             # a new goal, gain or enable flag reaches this cycle's command
             self._goals_due = True
 
@@ -549,11 +545,8 @@ class ServoRuntime:
             time.thread_time() - c0
 
         t0 = time.perf_counter()
-        fired = ()
-        if self.registry is not None:
-            fired = self.registry.emit_events(warn=self._warn)
-            for event_name in fired:
-                self.publish("events", event_name)
+        for event_name in self.registry.emit_events(warn=self._warn):
+            self.publish("events", event_name)
         t_events = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -597,16 +590,12 @@ class ServoRuntime:
         whether the effort is finite).  The verdict is kept for the cycles
         that reuse the effort, unless position or velocity limits are
         enforced: those read the state."""
-        warnings = []
-        limits = self.limits
-        if limits is not None:
-            _, warnings = enforce_limits(command, limits)
+        _, warnings = enforce_limits(command, self.limits)
         # with no warning nothing was clipped: the effort is the reused one
         clipped = command.effort.copy() if warnings else None
         verdict = (self.wbc.effort_version, clipped, warnings,
                    bool(np.isfinite(command.effort).all()))
-        if limits is None or limits.position is None \
-                and limits.velocity is None:
+        if self.limits.position is None and self.limits.velocity is None:
             self._limit_verdict = verdict
         return verdict
 
@@ -651,8 +640,7 @@ class ServoRuntime:
             return dict(self._snapshot)
 
     def publish(self, topic, value):
-        if self._publish is not None:
-            self._publish((f"{self.name}/{topic}",), (value,))
+        self._publish((f"{self.name}/{topic}",), (value,))
 
     def _warn(self, text):
         self.publish("diagnostics/warnings", text)

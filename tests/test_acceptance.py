@@ -218,7 +218,7 @@ def test_criterion_04_priority_non_interference():
             state = RobotState(0.0, model.q_actual().copy(),
                                model.qd_actual().copy(), np.zeros(16))
             wbc.compute(model, cset, compound, state)
-            Phi = wbc.mobility_metric(model, cset)
+            Phi = cset.Phi
             ladder = wbc.last_ladder
             assert len(ladder) == n_levels
             for j in range(len(ladder)):

@@ -110,13 +110,6 @@ def test_dreamer22_full_set_rank(make_model):
     assert rank == 22 - 7
 
 
-def test_is_constrained(make_model):
-    model = make_model("dreamer22")
-    cset = dreamer_constraint_set().update(model)
-    assert cset.is_constrained("torso_upper_pitch")
-    assert not cset.is_constrained("right_wrist_yaw")
-
-
 @pytest.mark.parametrize("name", ["planar2", "dreamer22"])
 def test_projector_identities(name, make_model):
     rng = np.random.default_rng(13)

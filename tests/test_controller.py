@@ -129,7 +129,7 @@ def test_priority_non_interference(n_levels, orientation, make_model):
     update_all(compound, model)
     wbc = Wbosc(22, 16)
     wbc.compute(model, cset, compound, state_of(model))
-    Phi = wbc.mobility_metric(model, cset)
+    Phi = cset.Phi
     ladder = wbc.last_ladder
     assert len(ladder) == n_levels
     for j in range(len(ladder)):
@@ -393,7 +393,7 @@ def test_internal_force_reference_is_motion_inert(make_model):
     model, cset, compound = dreamer_setup(make_model)
     wbc = Wbosc(22, 16)
     base = wbc.compute(model, cset, compound, state_of(model))
-    Phi = wbc.mobility_metric(model, cset)
+    Phi = cset.Phi
     J0 = wbc.last_ladder[0][1]
     for _ in range(5):
         w = rng.normal(size=16)
