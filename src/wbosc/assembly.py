@@ -47,9 +47,8 @@ class ServiceError(ValueError):
 
 
 # -- spec -> objects ----------------------------------------------------------
-
-_GAIN_KEYS = ("kp", "ki", "kd", "integratorLimit")
-
+# The loader has checked each spec's keys against its type's KEYS and
+# REQUIRED.
 
 def _gains(params, dimension):
     return PIDGains(dimension,
@@ -59,26 +58,16 @@ def _gains(params, dimension):
                     integrator_limit=params.get("integratorLimit", 0.0))
 
 
-def _check_keys(params, allowed, where):
-    unknown = set(params) - set(allowed) - set(_GAIN_KEYS)
-    if unknown:
-        raise AssemblyError(f"{where}: unknown parameter(s) {sorted(unknown)}")
-
-
 def build_task(spec, model):
     p = spec.parameters
     where = f"task {spec.name!r}"
     if spec.type == "JointPositionTask":
-        _check_keys(p, ("goalPosition", "goalVelocity", "goalAcceleration"), where)
         return JointPositionTask(
             spec.name, model, _gains(p, model.n_joints),
             goal_position=p.get("goalPosition"),
             goal_velocity=p.get("goalVelocity"),
             goal_acceleration=p.get("goalAcceleration"))
     if spec.type == "CartesianPositionTask":
-        _check_keys(p, ("link", "controlPoint", "goalPosition"), where)
-        if "link" not in p:
-            raise AssemblyError(f"{where}: missing link")
         task = CartesianPositionTask(
             spec.name, model, _gains(p, 3), link=p["link"],
             control_point=p.get("controlPoint", (0.0, 0.0, 0.0)))
@@ -88,9 +77,6 @@ def build_task(spec, model):
                                       else np.asarray(goal, dtype=float))
         return task
     if spec.type == "Orientation3DTask":
-        _check_keys(p, ("link", "goalOrientation"), where)
-        if "link" not in p:
-            raise AssemblyError(f"{where}: missing link")
         task = Orientation3DTask(spec.name, model, _gains(p, 3), link=p["link"])
         goal = p.get("goalOrientation")
         if goal is None:
@@ -99,9 +85,6 @@ def build_task(spec, model):
         task.goals["goalOrientation"] = np.asarray(goal, dtype=float)
         return task
     if spec.type == "Orientation2DTask":
-        _check_keys(p, ("link", "bodyVector", "goalVector"), where)
-        if "link" not in p:
-            raise AssemblyError(f"{where}: missing link")
         body = p.get("bodyVector", (0.0, 0.0, 1.0))
         task = Orientation2DTask(spec.name, model, _gains(p, 2),
                                  link=p["link"], body_vector=body,
@@ -111,7 +94,6 @@ def build_task(spec, model):
                                     else np.asarray(goal, dtype=float))
         return task
     if spec.type == "COMTask":
-        _check_keys(p, ("goalPosition",), where)
         task = ComTask(spec.name, model, _gains(p, 3))
         goal = p.get("goalPosition")
         task.goals["goalPosition"] = (model.com()[0].copy() if goal is None
@@ -122,27 +104,17 @@ def build_task(spec, model):
 
 def build_constraint(spec):
     p = spec.parameters
-    where = f"constraint {spec.name!r}"
     if spec.type == "FlatContactConstraint":
-        _check_keys(p, ("link",), where)
-        if "link" not in p:
-            raise AssemblyError(f"{where}: missing link")
         return FlatContactConstraint(spec.name, p["link"])
     if spec.type == "PointContactConstraint":
-        _check_keys(p, ("link", "point"), where)
-        if "link" not in p:
-            raise AssemblyError(f"{where}: missing link")
         return PointContactConstraint(spec.name, p["link"],
                                       p.get("point", (0.0, 0.0, 0.0)))
     if spec.type == "CoactuationConstraint":
-        _check_keys(p, ("masterJoint", "slaveJoint", "transmissionRatio"), where)
-        for key in ("masterJoint", "slaveJoint"):
-            if key not in p:
-                raise AssemblyError(f"{where}: missing {key}")
         return CoactuationConstraint(spec.name, p["masterJoint"],
                                      p["slaveJoint"],
                                      p.get("transmissionRatio", 1.0))
-    raise AssemblyError(f"{where}: unknown constraint type {spec.type!r}")
+    raise AssemblyError(
+        f"constraint {spec.name!r}: unknown constraint type {spec.type!r}")
 
 
 class AssembledController:

@@ -140,8 +140,10 @@ def load_config(text):
         raise ConfigError(f"unknown top-level key(s) {sorted(unknown)}")
 
     warnings = []
-    tasks = [_parse_task(d, i) for i, d in enumerate(doc.get("tasks", []) or [])]
-    constraints = [_parse_constraint(d, i)
+    tasks = [_parse_typed(d, f"tasks[{i}]", "task", TASK_TYPES, TaskSpec)
+             for i, d in enumerate(doc.get("tasks", []) or [])]
+    constraints = [_parse_typed(d, f"constraints[{i}]", "constraint",
+                                CONSTRAINT_TYPES, ConstraintSpec)
                    for i, d in enumerate(doc.get("constraints", []) or [])]
     compound = [_parse_compound_entry(d, i)
                 for i, d in enumerate(doc.get("compound_task", []) or [])]
@@ -208,30 +210,25 @@ def _require(d, key, where):
     return d[key]
 
 
-def _parse_task(d, index):
-    where = f"tasks[{index}]"
+def _parse_typed(d, where, kind, types, spec_cls):
+    """A task or constraint entry: its type's ``KEYS`` and ``REQUIRED``
+    decide which parameters it may and must give."""
     _as_mapping(d, where)
     name = _require(d, "name", where)
     type_name = _require(d, "type", where)
-    if type_name not in TASK_TYPES:
+    if type_name not in types:
         raise ConfigError(
-            f"{where}: unknown task type {type_name!r} "
-            f"(known: {sorted(TASK_TYPES)})")
+            f"{where}: unknown {kind} type {type_name!r} "
+            f"(known: {sorted(types)})")
+    cls = types[type_name]
     params = {k: v for k, v in d.items() if k not in ("name", "type")}
-    return TaskSpec(name, type_name, params)
-
-
-def _parse_constraint(d, index):
-    where = f"constraints[{index}]"
-    _as_mapping(d, where)
-    name = _require(d, "name", where)
-    type_name = _require(d, "type", where)
-    if type_name not in CONSTRAINT_TYPES:
+    unknown = set(params) - set(cls.KEYS)
+    if unknown:
         raise ConfigError(
-            f"{where}: unknown constraint type {type_name!r} "
-            f"(known: {sorted(CONSTRAINT_TYPES)})")
-    params = {k: v for k, v in d.items() if k not in ("name", "type")}
-    return ConstraintSpec(name, type_name, params)
+            f"{where}: unknown key(s) {sorted(unknown)} for {type_name}")
+    for key in cls.REQUIRED:
+        _require(params, key, where)
+    return spec_cls(name, type_name, params)
 
 
 def _parse_operational_state(d, where):

@@ -29,9 +29,12 @@ class ConstraintError(ValueError):
 
 
 class Constraint:
-    """Base contact/transmission constraint contributing rows to J_c."""
+    """Base contact/transmission constraint contributing rows to J_c.
+    ``KEYS`` are a type's configuration keys, of which ``REQUIRED`` must be
+    given; the configuration loader checks them."""
 
     type_name = "Constraint"
+    KEYS = REQUIRED = ()
 
     def __init__(self, name):
         self.name = name
@@ -54,6 +57,7 @@ class FlatContactConstraint(Constraint):
     """Welds a link: both translation and rotation are constrained."""
 
     type_name = "FlatContactConstraint"
+    KEYS = REQUIRED = ("link",)
     constrained_dof_count = 6
 
     def __init__(self, name, link):
@@ -68,6 +72,8 @@ class PointContactConstraint(Constraint):
     """Pins a link-frame point: translation only."""
 
     type_name = "PointContactConstraint"
+    KEYS = ("link", "point")
+    REQUIRED = ("link",)
     constrained_dof_count = 3
 
     def __init__(self, name, link, point=(0.0, 0.0, 0.0)):
@@ -87,6 +93,8 @@ class CoactuationConstraint(Constraint):
     """
 
     type_name = "CoactuationConstraint"
+    KEYS = ("masterJoint", "slaveJoint", "transmissionRatio")
+    REQUIRED = ("masterJoint", "slaveJoint")
     constrained_dof_count = 1
 
     def __init__(self, name, master_joint, slave_joint, transmission_ratio=1.0):

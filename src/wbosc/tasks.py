@@ -13,6 +13,9 @@ Binding surface (dot-namespaced by task name, case-sensitive): goalPosition,
 goalVelocity, goalAcceleration, goalOrientation, goalAngularVelocity,
 goalVector, kp, ki, kd, error, enabled, currentAcceleration.
 
+Each type declares its configuration keys, ``KEYS``, of which ``REQUIRED``
+must be given; the configuration loader checks them.
+
 Each task keeps its goals in one store, ``Task.goals``: a dict from the goal
 parameter name to its vector, filled by the constructor.  Declaring the
 parameters declares every entry as a VECTOR parameter whose setter replaces
@@ -119,6 +122,8 @@ class Task:
     reflection surface."""
 
     type_name = "Task"
+    KEYS = ("kp", "ki", "kd", "integratorLimit")
+    REQUIRED = ()
 
     def __init__(self, name, dimension, n_dofs, gains, goals):
         self.name = name
@@ -194,6 +199,7 @@ class JointPositionTask(Task):
     """Posture objective over all real joints; J is the selection matrix U."""
 
     type_name = "JointPositionTask"
+    KEYS = Task.KEYS + ("goalPosition", "goalVelocity", "goalAcceleration")
 
     def __init__(self, name, model, gains, goal_position=None,
                  goal_velocity=None, goal_acceleration=None):
@@ -234,6 +240,8 @@ class CartesianPositionTask(Task):
     """World-frame position of a body-frame control point on a link."""
 
     type_name = "CartesianPositionTask"
+    KEYS = Task.KEYS + ("link", "controlPoint", "goalPosition")
+    REQUIRED = ("link",)
 
     def __init__(self, name, model, gains, link, control_point=(0, 0, 0),
                  goal_position=None):
@@ -271,6 +279,8 @@ class Orientation3DTask(Task):
     """
 
     type_name = "Orientation3DTask"
+    KEYS = Task.KEYS + ("link", "goalOrientation")
+    REQUIRED = ("link",)
 
     def __init__(self, name, model, gains, link, goal_orientation=(1, 0, 0, 0)):
         super().__init__(name, 3, model.n_dofs, gains, {
@@ -310,6 +320,8 @@ class Orientation2DTask(Task):
     """
 
     type_name = "Orientation2DTask"
+    KEYS = Task.KEYS + ("link", "bodyVector", "goalVector")
+    REQUIRED = ("link",)
 
     def __init__(self, name, model, gains, link, body_vector=(0, 0, 1),
                  goal_vector=(0, 0, 1)):
@@ -365,6 +377,7 @@ class ComTask(Task):
     """Whole-robot center of mass position."""
 
     type_name = "COMTask"
+    KEYS = Task.KEYS + ("goalPosition",)
 
     def __init__(self, name, model, gains, goal_position=None):
         super().__init__(name, 3, model.n_dofs, gains, {

@@ -145,6 +145,26 @@ controlit:
 """)
 
 
+@pytest.mark.parametrize("text, where, key", [
+    (MINIMAL.replace("goalPosition", "goalPositon"), r"tasks\[0\]",
+     "goalPositon"),
+    (MINIMAL.replace("goalPosition: [0.0]", "goalPosition: [0.0], kpp: 1.0"),
+     r"tasks\[0\]", "kpp"),
+    (MINIMAL + "constraints:\n  - {name: c, type: CoactuationConstraint, "
+     "masterJoint: a, slaveJoint: b, ratio: 2}\n", r"constraints\[0\]",
+     "ratio"),
+    (MINIMAL.replace("compound_task:", "  - {name: hand, type: "
+                     "CartesianPositionTask, kp: 1.0}\ncompound_task:"),
+     r"tasks\[1\]", "link"),
+    (MINIMAL + "constraints:\n  - {name: c, type: CoactuationConstraint, "
+     "masterJoint: a}\n", r"constraints\[0\]", "slaveJoint"),
+], ids=["misspelt goal", "unknown gain", "unknown constraint key",
+        "missing link", "missing slave joint"])
+def test_task_and_constraint_keys_checked_at_load(text, where, key):
+    with pytest.raises(ConfigError, match=f"{where}.*{key}"):
+        load_config(text)
+
+
 def test_negative_priority_rejected():
     with pytest.raises(ConfigError, match="priority"):
         load_config("""
