@@ -14,6 +14,7 @@ from .constraints import (CoactuationConstraint, ConstraintSet,
                           FlatContactConstraint, PointContactConstraint)
 from .controller import CONTROLLER_TYPES, JointLimits, LimitFlags
 from .description import load_description_file
+from .geometry import quat_from_matrix
 from .model import RobotModel
 from .params import ParameterRegistry
 from .plant import (FreerunSimInterface, LockstepSimInterface, NoiseSpec,
@@ -21,7 +22,7 @@ from .plant import (FreerunSimInterface, LockstepSimInterface, NoiseSpec,
 from .servo import ServoModel, ServoRuntime, make_clock
 from .tasks import (CartesianPositionTask, CompoundTask, ComTask,
                     JointPositionTask, Orientation2DTask, Orientation3DTask,
-                    PIDGains)
+                    PIDGains, TaskError)
 from .transports import (BindingManager, FileBindingFactory, IntraBindingFactory,
                          IntraBus, PublisherWorker, TransportError,
                          UdpBindingFactory, UdpTransport)
@@ -58,48 +59,51 @@ def _gains(params, dimension):
                     integrator_limit=params.get("integratorLimit", 0.0))
 
 
-def build_task(spec, model):
+def _new_task(spec, model):
+    """The task with its fixed geometry, its gains and default goals: a
+    posture goal of zero, any other goal its value at the model's state."""
     p = spec.parameters
-    where = f"task {spec.name!r}"
     if spec.type == "JointPositionTask":
-        return JointPositionTask(
-            spec.name, model, _gains(p, model.n_joints),
-            goal_position=p.get("goalPosition"),
-            goal_velocity=p.get("goalVelocity"),
-            goal_acceleration=p.get("goalAcceleration"))
+        return JointPositionTask(spec.name, model, _gains(p, model.n_joints))
     if spec.type == "CartesianPositionTask":
         task = CartesianPositionTask(
             spec.name, model, _gains(p, 3), link=p["link"],
             control_point=p.get("controlPoint", (0.0, 0.0, 0.0)))
-        goal = p.get("goalPosition")
-        task.goals["goalPosition"] = (task.current_position(model).copy()
-                                      if goal is None
-                                      else np.asarray(goal, dtype=float))
+        task.goals["goalPosition"] = task.current_position(model).copy()
         return task
     if spec.type == "Orientation3DTask":
-        task = Orientation3DTask(spec.name, model, _gains(p, 3), link=p["link"])
-        goal = p.get("goalOrientation")
-        if goal is None:
-            from .geometry import quat_from_matrix
-            goal = quat_from_matrix(model.link_transform(p["link"])[:3, :3])
-        task.goals["goalOrientation"] = np.asarray(goal, dtype=float)
-        return task
+        return Orientation3DTask(
+            spec.name, model, _gains(p, 3), link=p["link"],
+            goal_orientation=quat_from_matrix(
+                model.link_transform(p["link"])[:3, :3]))
     if spec.type == "Orientation2DTask":
-        body = p.get("bodyVector", (0.0, 0.0, 1.0))
-        task = Orientation2DTask(spec.name, model, _gains(p, 2),
-                                 link=p["link"], body_vector=body,
-                                 goal_vector=(0.0, 0.0, 1.0))
-        goal = p.get("goalVector")
-        task.goals["goalVector"] = (task.heading(model).copy() if goal is None
-                                    else np.asarray(goal, dtype=float))
+        task = Orientation2DTask(
+            spec.name, model, _gains(p, 2), link=p["link"],
+            body_vector=p.get("bodyVector", (0.0, 0.0, 1.0)))
+        task.goals["goalVector"] = task.heading(model).copy()
         return task
     if spec.type == "COMTask":
-        task = ComTask(spec.name, model, _gains(p, 3))
-        goal = p.get("goalPosition")
-        task.goals["goalPosition"] = (model.com()[0].copy() if goal is None
-                                      else np.asarray(goal, dtype=float))
-        return task
-    raise AssemblyError(f"{where}: unknown task type {spec.type!r}")
+        return ComTask(spec.name, model, _gains(p, 3),
+                       goal_position=model.com()[0].copy())
+    raise AssemblyError(f"unknown task type {spec.type!r}")
+
+
+def build_task(spec, model):
+    """The task a spec declares.  Each goal the spec gives is set through
+    ``Task._set_goal``, as a goal from the registry is, and a direction goal
+    must be of unit norm; a failure names the task."""
+    try:
+        task = _new_task(spec, model)
+        for key, value in spec.parameters.items():
+            if key in task.goals:
+                task._set_goal(key, np.asarray(value, dtype=float))
+        for key in ("goalOrientation", "goalVector"):
+            if key in task.goals \
+                    and abs(np.linalg.norm(task.goals[key]) - 1.0) > 1e-6:
+                raise TaskError(f"{key} must be of unit norm")
+    except ValueError as exc:
+        raise AssemblyError(f"task {spec.name!r}: {exc}") from None
+    return task
 
 
 def build_constraint(spec):
@@ -242,11 +246,18 @@ class AssembledController:
 
     @staticmethod
     def _posture_goal(spec, n_joints):
+        """The first posture goal the spec gives, the plant's initial
+        joint positions."""
         for tspec in spec.tasks:
             if tspec.type == "JointPositionTask":
                 goal = tspec.parameters.get("goalPosition")
                 if goal is not None:
-                    return np.asarray(goal, dtype=float)
+                    goal = np.asarray(goal, dtype=float)
+                    if goal.shape != (n_joints,):
+                        raise AssemblyError(
+                            f"task {tspec.name!r}: goalPosition length "
+                            f"{goal.shape} does not match {(n_joints,)}")
+                    return goal
         return np.zeros(n_joints)
 
     def _build_interface(self, fw, initial_q, latency_cycles, noise, seed):

@@ -251,7 +251,7 @@ class CartesianPositionTask(Task):
             "goalVelocity": np.zeros(3), "goalAcceleration": np.zeros(3)})
         model.body_index(link)  # validate early
         self.link = link
-        self.control_point = np.asarray(control_point, dtype=float)
+        self.control_point = _vector3(control_point, "controlPoint")
 
     def current_position(self, model):
         T = model.link_transform(self.link)
@@ -330,7 +330,7 @@ class Orientation2DTask(Task):
                                 "goalVector")})
         model.body_index(link)
         self.link = link
-        self.body_vector = _unit(np.asarray(body_vector, dtype=float),
+        self.body_vector = _unit(_vector3(body_vector, "bodyVector"),
                                  "bodyVector")
 
     def heading(self, model):
@@ -497,6 +497,13 @@ class CompoundTask:
             return None
         rows = stack.level_rows(level)
         return stack.jacobian[rows], stack.command[rows]
+
+
+def _vector3(value, label):
+    v = np.asarray(value, dtype=float)
+    if v.shape != (3,):
+        raise TaskError(f"{label} must be a 3-vector, got shape {v.shape}")
+    return v
 
 
 def _unit(v, label):

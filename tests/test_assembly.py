@@ -312,3 +312,68 @@ constraint_set:
         assert plant.contacts[0][1] is None
         np.testing.assert_array_equal(plant.contacts[1][1], [0.0, 0.01, -0.08])
 
+
+# A config goal is checked when the controller is built, as the same goal
+# set through the registry would be: (config, robot, text replaced, new
+# text, the task the error names).
+_RIGHT_HAND = "    link: right_hand\n    controlPoint: [0.0, 0.0, -0.08]\n"
+_RIGHT_HEADING = "    link: right_hand\n    bodyVector: [0.0, 0.0, -1.0]\n"
+_EXTRA_TASK = """  - name: extra
+    type: {type}
+    {key}: {value}
+constraints:"""
+BAD_CONFIG_GOALS = {
+    "cartesian goal of 2": (
+        "dreamer22_disassembly", "dreamer22", _RIGHT_HAND,
+        _RIGHT_HAND + "    goalPosition: [0.1, 0.2]\n", "rightHandPosition"),
+    "cartesian goal of 4": (
+        "dreamer22_disassembly", "dreamer22", _RIGHT_HAND,
+        _RIGHT_HAND + "    goalPosition: [0.1, 0.2, 0.3, 0.4]\n",
+        "rightHandPosition"),
+    "goal vector of 2": (
+        "dreamer22_disassembly", "dreamer22", _RIGHT_HEADING,
+        _RIGHT_HEADING + "    goalVector: [0.0, 1.0]\n",
+        "rightHandOrientation"),
+    "non-unit goal vector": (
+        "dreamer22_disassembly", "dreamer22", _RIGHT_HEADING,
+        _RIGHT_HEADING + "    goalVector: [0.0, 0.0, -2.0]\n",
+        "rightHandOrientation"),
+    "control point of 2": (
+        "dreamer22_disassembly", "dreamer22", _RIGHT_HAND,
+        "    link: right_hand\n    controlPoint: [0.0, -0.08]\n",
+        "rightHandPosition"),
+    "goal orientation of 3": (
+        "dreamer22_disassembly", "dreamer22", "constraints:",
+        _EXTRA_TASK.format(type="Orientation3DTask", key="link: torso_upper\n"
+                           "    goalOrientation", value="[1.0, 0.0, 0.0]"),
+        "extra"),
+    "non-unit goal orientation": (
+        "dreamer22_disassembly", "dreamer22", "constraints:",
+        _EXTRA_TASK.format(type="Orientation3DTask", key="link: torso_upper\n"
+                           "    goalOrientation", value="[2.0, 0.0, 0.0, 0.0]"),
+        "extra"),
+    "COM goal of 2": (
+        "dreamer22_disassembly", "dreamer22", "constraints:",
+        _EXTRA_TASK.format(type="COMTask", key="goalPosition",
+                           value="[0.0, 0.1]"),
+        "extra"),
+    "posture goal of 2": (
+        "pend1_posture", "pend1", "goalPosition: [0.0]",
+        "goalPosition: [0.0, 0.0]", "posture"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_GOALS)
+def test_bad_config_goal_fails_at_build_naming_its_task(case):
+    from wbosc.assembly import AssembledController, AssemblyError
+    from wbosc.description import load_description
+    config, robot, old, new, task = BAD_CONFIG_GOALS[case]
+    text = fixtures.read_config(config)
+    assert text.count(old) == 1
+    spec = load_config(text.replace(old, new))
+    description = load_description(fixtures.read_robot(robot))
+    before = set(threading.enumerate())
+    with pytest.raises(AssemblyError, match=f"task '{task}'"):
+        AssembledController(description, spec, single_threaded=True)
+    assert [t for t in threading.enumerate()
+            if t not in before and t.is_alive()] == []

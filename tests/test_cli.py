@@ -36,6 +36,26 @@ def test_run_bad_config_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("config, robot, old, new", [
+    ("dreamer22_disassembly", "dreamer22",
+     "    link: right_hand\n    controlPoint: [0.0, 0.0, -0.08]\n",
+     "    link: right_hand\n    controlPoint: [0.0, 0.0, -0.08]\n"
+     "    goalPosition: [0.1, 0.2]\n"),
+    ("pend1_posture", "pend1", "goalPosition: [0.0]",
+     "goalPosition: [0.0, 0.0]"),
+], ids=["dreamer22", "pend1"])
+def test_run_config_goal_of_wrong_length_exits_2(tmp_path, capsys, config,
+                                                  robot, old, new):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(fixtures.read_config(config).replace(old, new))
+    rc = main(["run", "--config", str(bad),
+               "--robot", str(fixtures.robot_path(robot)),
+               "--duration", "0.01", "--single-threaded",
+               "--log-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: task ")
+
+
 def test_run_invalid_robot_exits_2(tmp_path):
     bad = tmp_path / "bad_robot.yaml"
     bad.write_text("links:\n  - {name: a, mass: -1.0}\n")
