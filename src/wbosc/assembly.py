@@ -60,8 +60,9 @@ def _gains(params, dimension):
 
 
 def _new_task(spec, model):
-    """The task with its fixed geometry, its gains and default goals: a
-    posture goal of zero, any other goal its value at the model's state."""
+    """The task with its fixed geometry, its gains and default goals: the
+    value at the model's state for a Cartesian, COM, orientation or heading
+    goal, zero for the rest."""
     p = spec.parameters
     if spec.type == "JointPositionTask":
         return JointPositionTask(spec.name, model, _gains(p, model.n_joints))
