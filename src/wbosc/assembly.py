@@ -22,7 +22,7 @@ from .plant import (FreerunSimInterface, LockstepSimInterface, NoiseSpec,
 from .servo import ServoModel, ServoRuntime, make_clock
 from .tasks import (CartesianPositionTask, CompoundTask, ComTask,
                     JointPositionTask, Orientation2DTask, Orientation3DTask,
-                    PIDGains, TaskError)
+                    PIDGains)
 from .transports import (BindingManager, FileBindingFactory, IntraBindingFactory,
                          IntraBus, PublisherWorker, TransportError,
                          UdpBindingFactory, UdpTransport)
@@ -91,33 +91,38 @@ def _new_task(spec, model):
 
 def build_task(spec, model):
     """The task a spec declares.  Each goal the spec gives is set through
-    ``Task._set_goal``, as a goal from the registry is, and a direction goal
-    must be of unit norm; a failure names the task."""
+    ``Task._set_goal``, as a goal from the registry is, so both refuse the
+    same values; a failure names the task."""
     try:
         task = _new_task(spec, model)
         for key, value in spec.parameters.items():
             if key in task.goals:
                 task._set_goal(key, np.asarray(value, dtype=float))
-        for key in ("goalOrientation", "goalVector"):
-            if key in task.goals \
-                    and abs(np.linalg.norm(task.goals[key]) - 1.0) > 1e-6:
-                raise TaskError(f"{key} must be of unit norm")
     except ValueError as exc:
         raise AssemblyError(f"task {spec.name!r}: {exc}") from None
     return task
 
 
-def build_constraint(spec):
+def build_constraint(spec, model):
+    """The constraint a spec declares, its link or joints checked against
+    the model; a failure names the constraint."""
     p = spec.parameters
-    if spec.type == "FlatContactConstraint":
-        return FlatContactConstraint(spec.name, p["link"])
-    if spec.type == "PointContactConstraint":
-        return PointContactConstraint(spec.name, p["link"],
-                                      p.get("point", (0.0, 0.0, 0.0)))
-    if spec.type == "CoactuationConstraint":
-        return CoactuationConstraint(spec.name, p["masterJoint"],
-                                     p["slaveJoint"],
-                                     p.get("transmissionRatio", 1.0))
+    try:
+        if spec.type == "FlatContactConstraint":
+            model.body_index(p["link"])
+            return FlatContactConstraint(spec.name, p["link"])
+        if spec.type == "PointContactConstraint":
+            model.body_index(p["link"])
+            return PointContactConstraint(spec.name, p["link"],
+                                          p.get("point", (0.0, 0.0, 0.0)))
+        if spec.type == "CoactuationConstraint":
+            model.joint_dof_index(p["masterJoint"])
+            model.joint_dof_index(p["slaveJoint"])
+            return CoactuationConstraint(spec.name, p["masterJoint"],
+                                         p["slaveJoint"],
+                                         p.get("transmissionRatio", 1.0))
+    except ValueError as exc:
+        raise AssemblyError(f"constraint {spec.name!r}: {exc}") from None
     raise AssemblyError(
         f"constraint {spec.name!r}: unknown constraint type {spec.type!r}")
 
@@ -148,7 +153,7 @@ class AssembledController:
         enabled_constraints = {e.name: e.enabled for e in spec.constraint_set}
         constraints = []
         for cspec in spec.constraints:
-            constraint = build_constraint(cspec)
+            constraint = build_constraint(cspec, model)
             constraint.enabled = enabled_constraints.get(cspec.name, True)
             constraints.append(constraint)
         self.servo_model = ServoModel(model, ConstraintSet(constraints))

@@ -6,11 +6,12 @@ forms the dynamically consistent nullspace projector
     N_c = I - Jbar_c J_c ,   Jbar_c = Ainv J_c' (J_c Ainv J_c')^+
 
 and the projected actuation map UNcBar (the dynamically consistent inverse of
-U N_c) together with the internal-force projector
+U N_c).  The internal-force projector
 
-    Lstar = I_{n_joints} - (U N_c) UNcBar .
+    Lstar = I_{n_joints} - (U N_c) UNcBar
 
-Torques of the form Lstar' w produce no motion of the constrained system.
+is formed from them only when read: only an internal-force reference needs
+it.  Torques of the form Lstar' w produce no motion of the constrained system.
 The set also holds the mobility metric Phi = (U N_c) Ainv (U N_c)' of the
 actuated, constraint-consistent subsystem and UNcBar L, where Phi = L L' is
 a rank-revealing square root (one column of L per nonzero eigenvalue);
@@ -100,7 +101,7 @@ class CoactuationConstraint(Constraint):
     def __init__(self, name, master_joint, slave_joint, transmission_ratio=1.0):
         if master_joint == slave_joint:
             raise ConstraintError(
-                f"coactuation {name!r}: master and slave must differ")
+                f"master and slave joint {master_joint!r} must differ")
         super().__init__(name)
         self.master_joint = master_joint
         self.slave_joint = slave_joint
@@ -126,10 +127,11 @@ class CoactuationConstraint(Constraint):
 class ConstraintSet:
     """Ordered constraints plus the projectors derived from them.
 
-    update() recomputes J_c, N_c, UNcBar, Lstar, Phi and UNcBar L against a
+    update() recomputes J_c, N_c, UNcBar, Phi and UNcBar L against a
     freshly updated model; the servo runtime calls it as part of the model
     update so the projectors always match the model configuration they are
-    used with.
+    used with.  Ainv is local to update, and Lstar is formed from N_c and
+    UNcBar on read, so neither is part of ``updated()``.
     """
 
     def __init__(self, constraints=(), tolerance=DEFAULT_TOLERANCE):
@@ -138,10 +140,9 @@ class ConstraintSet:
         self.J_c = None
         self.N_c = None
         self.UNcBar = None
-        self.Lstar = None
-        self.Ainv = None
         self.Phi = None
         self.UNcBarL = None
+        self._U = None              # the model's constant U, kept by update
         self.version = 0            # bumped by every update
 
     def add(self, constraint):
@@ -160,7 +161,7 @@ class ConstraintSet:
         return sum(c.constrained_dof_count for c in self.enabled_constraints())
 
     # everything update fills
-    UPDATED = ("Ainv", "J_c", "N_c", "UNcBar", "Lstar", "Phi", "UNcBarL")
+    UPDATED = ("J_c", "N_c", "UNcBar", "Phi", "UNcBarL")
 
     def updated(self):
         return tuple(getattr(self, name) for name in self.UPDATED)
@@ -175,8 +176,8 @@ class ConstraintSet:
     def update(self, model):
         n = model.n_dofs
         nj = model.n_joints
-        U = model.underactuation_matrix()
-        self.Ainv = np.linalg.inv(model.A)
+        U = self._U = model.underactuation_matrix()
+        Ainv = np.linalg.inv(model.A)
         enabled = self.enabled_constraints()
         rows = self.total_constrained_dofs()
         if self.J_c is None or self.J_c.shape != (rows, n):
@@ -189,21 +190,27 @@ class ConstraintSet:
             self.N_c = np.eye(n)
             UNc = U
         else:
-            Jbar = dyn_consistent_pinv(self.J_c, self.Ainv, self.tolerance)
+            Jbar = dyn_consistent_pinv(self.J_c, Ainv, self.tolerance)
             self.N_c = np.eye(n) - Jbar @ self.J_c
             UNc = U @ self.N_c
         # one eigendecomposition of Phi gives both the tolerant inverse in
         # UNcBar (dyn_consistent_pinv's, cutoff tol^2) and L (cutoff nj eps)
-        AiUt = self.Ainv @ UNc.T
+        AiUt = Ainv @ UNc.T
         self.Phi = UNc @ AiUt
         w, V = np.linalg.eigh(self.Phi)
         tol = self.tolerance
         self.UNcBar = AiUt @ eigh_pinv(w, V, tol * tol)
-        self.Lstar = np.eye(nj) - UNc @ self.UNcBar
         keep = w > w[-1] * nj * np.finfo(float).eps
         self.UNcBarL = self.UNcBar @ (V[:, keep] * np.sqrt(w[keep]))
         self.version += 1
         return self
+
+    @property
+    def Lstar(self):
+        """The internal-force projector I - (U N_c) UNcBar, formed on read
+        from the last update's N_c and UNcBar."""
+        UNc = self._U @ self.N_c
+        return np.eye(UNc.shape[0]) - UNc @ self.UNcBar
 
     def motion_basis(self):
         """Orthonormal basis of null(J_c): the admissible motion directions."""

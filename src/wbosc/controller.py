@@ -27,13 +27,14 @@ internal-force reference enters through Lstar', which produces no motion of
 the constrained system.
 
 With Phi = L L' the projectors become orthogonal in the whitened
-coordinates J* L, and one QR decomposition of the whole priority-ordered
-stack gives every level a common basis (see ``ladder_forces``).  The ladder
-then takes one of two paths.  When a norm bound proves every level above
-the last full rank and not covered, one block-triangular inverse carries
-them all and only the last level is projected on its own, so the work per
-cycle follows the number of task rows, not the number of levels.
-Otherwise every level is projected in turn in that basis.
+coordinates J* L (see ``ladder_forces``).  The ladder takes one of two
+paths.  When there is a head (levels above the last), one QR decomposition
+of the whole priority-ordered stack gives every level a common basis, and
+when a norm bound proves every head level full rank and not covered, one
+block-triangular inverse carries them all and only the last level is
+projected on its own, so the work per cycle follows the number of task
+rows, not the number of levels.  Otherwise every level is projected in
+turn in the whitened rows themselves; a one-level stack needs no QR at all.
 """
 
 from dataclasses import dataclass
@@ -88,44 +89,47 @@ def ladder_forces(Jw, xdd, starts, tol, same_level):
 
     Jw = J UNcBar L is the priority-ordered task stack in whitened
     coordinates (Phi = L L'), where each Phi-weighted projector of the ladder
-    is an orthogonal projector.  One QR decomposition Jw' = Q R gives all
-    levels a common orthonormal basis; level k's rows there are
-    R[:, rows_k]'.  While every level above k is full rank, those levels
-    cover exactly the first starts[k] coordinates, so level k's projected
-    rows are its diagonal block R[rows_k, rows_k]', and one inverse of the
-    block triangular R[:head, :head] solves the whole run of such levels.
+    is an orthogonal projector.  The levels are projected in a basis X of
+    the row space, X X' = Jw Jw' (``project_levels``); level k's rows there
+    are X[rows_k].
 
-    So there are two paths.  When the norms of that inverse prove every
-    level above the last full rank and not covered, those levels take the
-    inverse and only the last level is projected on its own.  Otherwise
-    every level is projected in turn, in the same basis
-    (``project_levels``).  ``same_level`` marks the entries of R whose row
-    and column belong to one level (``TaskStack.same_level``).  Returns g, R
-    and the levels' Frobenius norms.
+    When there is a head, levels above the last, one QR decomposition
+    Jw' = Q R gives all levels the common basis X = R'.  While every level
+    above k is full rank, those levels cover exactly the first starts[k]
+    coordinates, so level k's projected rows are its diagonal block
+    R[rows_k, rows_k]', and one inverse of the block triangular
+    R[:head, :head] solves the whole head.  When the norms of that inverse
+    prove every head level full rank and not covered, only the last level
+    is projected on its own.  Otherwise, and always without a head, every
+    level is projected in turn in X = Jw, and no QR is needed.
+    ``same_level`` marks the entries of R whose row and column belong to one
+    level (``TaskStack.same_level``).
     """
-    m = len(xdd)
-    R = np.linalg.qr(Jw.T, mode="r")
-    k = R.shape[0]
     n_levels = len(starts) - 1
     rows2 = np.einsum("ij,ij->i", Jw, Jw)
     # Frobenius norm of each unprojected level, >= its largest singular value
     frob = np.sqrt(np.add.reduceat(rows2, starts[:-1]))
     first = n_levels - 1
     head = int(starts[first])
-    inverse = _head_inverse(R, head, same_level) if head else None
-    # Each diagonal block R_jj above the last level has s_min >= 1/|Dinv|_F,
-    # and |Jw[:head]|_F bounds both its s_max and that of the level's
-    # unprojected rows, so tol |Jw[:head]|_F |Dinv|_F < 1 proves every one
-    # of them full rank and not covered.  When it does not, every level is
-    # projected in turn.
-    if head and (inverse is None
-                 or tol ** 2 * rows2[:head].sum() * (inverse[1] ** 2).sum()
-                 >= 1.0):
-        first = head = 0
+    X = Jw
+    if head:
+        R = np.linalg.qr(Jw.T, mode="r")
+        inverse = _head_inverse(R, head, same_level)
+        # Each diagonal block R_jj of the head has s_min >= 1/|Dinv|_F, and
+        # |Jw[:head]|_F bounds both its s_max and that of the level's
+        # unprojected rows, so tol |Jw[:head]|_F |Dinv|_F < 1 proves every
+        # one of them full rank and not covered.  When it does not, every
+        # level is projected in turn.
+        if inverse is None or (tol ** 2 * rows2[:head].sum()
+                               * (inverse[1] ** 2).sum() >= 1.0):
+            first = head = 0
+        else:
+            X = R.T
 
-    tail = project_levels(R, starts, frob, tol, first, np.eye(k)[:, head:])
-    g = np.zeros(m)
-    a = 0.0             # sum over later levels of R[:, rows_j] g_j
+    tail = project_levels(X, starts, frob, tol, first,
+                          np.eye(X.shape[1])[:, head:])
+    g = np.zeros(len(xdd))
+    a = 0.0             # sum over later levels of X[rows_j]' g_j
     for j in range(n_levels - 1, first - 1, -1):
         u, sv, vt = tail[j - first]
         rows = slice(starts[j], starts[j + 1])
@@ -133,11 +137,12 @@ def ladder_forces(Jw, xdd, starts, tol, same_level):
         if j + 1 < n_levels:
             f -= (vt @ a) / sv
         g[rows] = u @ f
-        a = a + R[:, rows] @ g[rows]
+        if j:
+            a = a + X[rows].T @ g[rows]
     if head:
         Rinv, Dinv = inverse
         g[:head] = Rinv @ (Dinv.T @ xdd[:head] - a[:head])
-    return g, R, frob
+    return g
 
 
 def _head_inverse(R, head, same_level):
@@ -151,21 +156,21 @@ def _head_inverse(R, head, same_level):
     return Rinv, np.where(same_level[:head, :head], Rinv, 0.0)
 
 
-def project_levels(R, starts, frob, tol, first, free):
+def project_levels(X, starts, frob, tol, first, free):
     """Per-level SVD (u, s, vt) of the projected whitened rows, levels
-    first..end, in the QR basis of ``ladder_forces``.
+    first..end, in a basis X with X X' = Jw Jw' (see ``ladder_forces``).
 
     ``free`` is an orthonormal basis of the directions the levels above
-    ``first`` leave free; each level is projected onto it, and its kept right
-    singular vectors (returned in the QR basis) are removed from it for the
-    levels below.  Singular values below tol times the largest are dropped;
-    a level whose largest is below tol times that of its unprojected rows is
-    fully covered and keeps none.
+    ``first`` leave free; each level's rows X[rows_j] are projected onto
+    it, and its kept right singular vectors (returned in X's basis) are
+    removed from it for the levels below.  Singular values below tol times
+    the largest are dropped; a level whose largest is below tol times that
+    of its unprojected rows is fully covered and keeps none.
     """
     out = []
     n_levels = len(starts) - 1
     for j in range(first, n_levels):
-        jk = R[:, starts[j]:starts[j + 1]].T
+        jk = X[starts[j]:starts[j + 1]]
         u, s, vt = np.linalg.svd(jk @ free, full_matrices=j + 1 < n_levels)
         s_max = s[0] if s.size else 0.0
         rank = int(np.count_nonzero(s > tol * s_max))
@@ -180,25 +185,27 @@ def project_levels(R, starts, frob, tol, first, free):
 class _LadderRecord:
     """What one cycle's ladder needs to be rebuilt level by level on demand."""
 
-    __slots__ = ("levels", "starts", "J", "UNcBar", "R", "frob", "tol")
+    __slots__ = ("levels", "starts", "J", "UNcBar", "Jw", "tol")
 
-    def __init__(self, levels, starts, J, UNcBar, R, frob, tol):
+    def __init__(self, levels, starts, J, UNcBar, Jw, tol):
         self.levels, self.starts, self.J, self.UNcBar = levels, starts, J, UNcBar
-        self.R, self.frob, self.tol = R, frob, tol
+        self.Jw, self.tol = Jw, tol
 
     def build(self):
-        """[(level, J*_{k|prev}, Lambda*_k)] from the factored ladder: the
-        projected rows follow from J*_{k|prev} = J*_k - (J*_k L) Z_k with
-        Z_k = sum over j < k of (J*_{j|prev} L)^+ J*_{j|prev}."""
-        k = self.R.shape[0]
+        """[(level, J*_{k|prev}, Lambda*_k)], each level projected in turn
+        in the whitened rows Jw = J* L: J*_{k|prev} = J*_k - (J*_k L) Z_k
+        with Z_k = sum over j < k of (J*_{j|prev} L)^+ J*_{j|prev}."""
+        Jw, starts = self.Jw, self.starts
         J_star = self.J @ self.UNcBar
-        per_level = project_levels(self.R, self.starts, self.frob, self.tol,
-                                   0, np.eye(k))
-        Z = np.zeros((k, J_star.shape[1]))
+        frob = np.sqrt(np.add.reduceat(np.einsum("ij,ij->i", Jw, Jw),
+                                       starts[:-1]))
+        per_level = project_levels(Jw, starts, frob, self.tol, 0,
+                                   np.eye(Jw.shape[1]))
+        Z = np.zeros((Jw.shape[1], J_star.shape[1]))
         out = []
         for j, (u, s, vt) in enumerate(per_level):
-            rows = slice(self.starts[j], self.starts[j + 1])
-            J_proj = J_star[rows] - self.R[:, rows].T @ Z
+            rows = slice(starts[j], starts[j + 1])
+            J_proj = J_star[rows] - Jw[rows] @ Z
             Z += vt.T @ ((u.T @ J_proj) / s[:, None])
             out.append((self.levels[j], J_proj, (u / s ** 2) @ u.T))
         return out
@@ -276,10 +283,10 @@ class Wbosc:
                 f"non-finite task aggregate: {self._offending_tasks(stack)}")
         UNcBar = constraint_set.UNcBar
         Jw = J @ constraint_set.UNcBarL
-        g, R, frob = ladder_forces(Jw, xdd, stack.starts, self.tolerance,
-                                   stack.same_level)
+        g = ladder_forces(Jw, xdd, stack.starts, self.tolerance,
+                          stack.same_level)
         self._record = _LadderRecord(stack.levels, stack.starts, J.copy(),
-                                     UNcBar, R, frob, self.tolerance)
+                                     UNcBar, Jw, self.tolerance)
         self._ladder = None
 
         tau = UNcBar.T @ (J.T @ g + model.B)

@@ -12,17 +12,23 @@ Spatial algebra
 ---------------
 All spatial quantities are expressed in world coordinates at the world-origin
 Plucker frame, angular block above linear.  With every body referred to one
-common frame the composite-rigid-body and recursive-Newton-Euler passes need
-no per-joint coordinate transforms:
+common frame the sweeps below need no per-joint coordinate transforms:
 
 - motion subspace of a revolute DOF at world point p with world axis w:
   S = [w; p x w]; of a prismatic DOF: S = [0; w]
 - spatial inertia of a body with mass m, world com c, world rotational
   inertia I_c about the com:  [[I_c + m*cx*cx^T, m*cx], [m*cx^T, m*E]]
 
-The mass matrix comes from the composite-rigid-body recursion, the gravity
-vector from a zero-velocity zero-acceleration inverse-dynamics pass, and the
-Coriolis/centrifugal vector from the full bias pass minus gravity.
+A, B and G come from one forward and one backward sweep over the moving
+bodies (Featherstone, Rigid Body Dynamics Algorithms, ch. 5-6).  Parents
+first, the forward sweep computes each body's transform, S, world com c,
+spatial inertia I and bias motion v = v_parent + S qd, a = a_parent +
+v x (S qd), and writes the block W = [I | I a + v x* I v | [c x m g; m g]].
+Children first, the backward sweep sums each block into its parent's; for
+the body of DOF d the one row S_d' W_sum is [F' | B_d | -G_d], where
+F = I_composite S_d gives A[d, e] = S_e' F for each DOF e on the body's
+root path.  ``inverse_dynamics`` keeps its own per-body RNEA, an
+independent oracle for all three.
 
 Jacobians
 ---------
@@ -124,18 +130,19 @@ class RobotModel:
         self.version = 0              # bumped by every update_kinematics
         self._fresh = False
 
-        # preallocated workspaces (sized once, reused every update)
+        # preallocated workspaces (sized once, reused every update); the
+        # forward sweep fills W[i] = [I | bias wrench | gravity wrench]
         self._T = np.zeros((L, 4, 4))
         self._com_w = np.zeros((L, 3))
-        self._I_w = np.zeros((L, 6, 6))
-        self._IC = np.zeros((L, 6, 6))
+        self._W = np.zeros((L, 6, 8))
+        self._I_w = self._W[:, :, :6]
+        self._acc = np.zeros((L, 6, 8))
         self._S = np.zeros((n, 6))
         self._S_ang = self._S[:, :3].T    # 3 x n views of the S rows
         self._S_lin = self._S[:, 3:].T
         self._v = np.zeros((L, 6))
         self._a = np.zeros((L, 6))
         self._f = np.zeros((L, 6))
-        self._tau = np.zeros(n)
         self._a0 = np.zeros(6)
         self._zero6 = np.zeros(6)
         self._vj = np.zeros(6)
@@ -156,21 +163,25 @@ class RobotModel:
         self._mass = np.array([b.mass for b in self._bodies])
         self._total_mass = float(self._mass.sum())
         self._path_mass = self._mass @ self._P
+        # the constant parts of W: m E and the gravity force m g
+        g = self.description.gravity
+        for i, body in enumerate(self._bodies):
+            self._W[i, 3:, 3:6] = body.mass * self._eye3
+            self._W[i, 3:, 7] = body.mass * g
 
         # a body with no DOF on its root path never moves: its transform,
-        # COM and spatial inertia are filled once here.  The passes visit
+        # COM and spatial inertia are filled once here.  The sweeps visit
         # only the other bodies, as (index, body, parent), where a parent
-        # that never moves counts as the world: its velocity is zero, its
-        # acceleration a0, and no generalized force reads its wrench
+        # that never moves counts as the world: its velocity and bias
+        # acceleration are zero, and no generalized force reads its wrench
         moving = self._P.any(axis=1)
         self._moving = [
             (i, body, body.parent if body.parent >= 0
              and moving[body.parent] else -1)
             for i, body in enumerate(self._bodies) if moving[i]]
-        fixed = [(i, body, body.parent)
-                 for i, body in enumerate(self._bodies) if not moving[i]]
-        self._forward_kinematics(fixed)
-        self._spatial_inertias(fixed)
+        self._forward_sweep([(i, body, body.parent)
+                             for i, body in enumerate(self._bodies)
+                             if not moving[i]])
 
     # -- construction ----------------------------------------------------
 
@@ -330,7 +341,8 @@ class RobotModel:
         self.version += 1
 
     def update_kinematics(self, q_full, qd_full):
-        """Recompute world transforms, S vectors, A, B and G."""
+        """Recompute world transforms, S vectors, A, B and G in one
+        forward and one backward sweep."""
         q_full = np.asarray(q_full, dtype=float)
         qd_full = np.asarray(qd_full, dtype=float)
         if q_full.shape != (self.n_dofs,) or qd_full.shape != (self.n_dofs,):
@@ -339,81 +351,83 @@ class RobotModel:
                 f"{q_full.shape} / {qd_full.shape}")
         self.q_full[:] = q_full
         self.qd_full[:] = qd_full
-        self._forward_kinematics(self._moving)
-        self._spatial_inertias(self._moving)
-        self._crba()
+        self._forward_sweep(self._moving)
+        self._backward_sweep()
         self._fresh = True
-        # Coriolis/centrifugal bias from a gravity-free velocity pass; the
-        # gravity vector from accumulated static wrenches (one cheap pass)
-        self._rnea(self.qd_full, None, False, self.B)
-        self._gravity_pass(self.G)
         self.version += 1
         return self
 
-    def _forward_kinematics(self, bodies):
-        T = self._T
-        eye4 = self._eye4
-        joint_T = self._jointT
-        motion = self._motion
-        for i, body, _ in bodies:
-            parent_T = eye4 if body.parent < 0 else T[body.parent]
-            np.matmul(parent_T, body.origin, out=joint_T)
+    def _forward_sweep(self, bodies):
+        """Each body's transform, S vector, world COM and block W[i] =
+        [I | bias wrench | gravity wrench], parents first."""
+        T, S, W, v, a = self._T, self._S, self._W, self._v, self._a
+        q, qd = self.q_full, self.qd_full
+        eye4, joint_T, motion, vj = (self._eye4, self._jointT, self._motion,
+                                     self._vj)
+        zero6 = self._zero6
+        for i, body, parent in bodies:
+            np.matmul(eye4 if body.parent < 0 else T[body.parent],
+                      body.origin, out=joint_T)
+            pv = zero6 if parent < 0 else v[parent]
+            pa = zero6 if parent < 0 else a[parent]
             if body.dof is None:
                 T[i] = joint_T
+                v[i] = pv
+                a[i] = pa
             else:
-                q = self.q_full[body.dof]
+                d = body.dof
+                Sd = S[d]
+                w = joint_T[:3, :3] @ body.axis
                 if body.jtype == "revolute":
-                    _axis_rotation_into(body.axis, q, motion)
+                    _axis_rotation_into(body.axis, q[d], motion)
+                    Sd[:3] = w
+                    _cross3(joint_T[:3, 3], w, Sd[3:])
                 else:
                     motion[:3, :3] = self._eye3
-                    motion[0, 3] = body.axis[0] * q
-                    motion[1, 3] = body.axis[1] * q
-                    motion[2, 3] = body.axis[2] * q
+                    np.multiply(body.axis, q[d], out=motion[:3, 3])
+                    Sd[:3] = 0.0
+                    Sd[3:] = w
                 np.matmul(joint_T, motion, out=T[i])
-                w = joint_T[:3, :3] @ body.axis
-                S = self._S[body.dof]
-                if body.jtype == "revolute":
-                    S[:3] = w
-                    _cross3(joint_T[:3, 3], w, S[3:])
-                else:
-                    S[:3] = 0.0
-                    S[3:] = w
-            self._com_w[i] = T[i, :3, :3] @ body.com + T[i, :3, 3]
-
-    def _spatial_inertias(self, bodies):
-        for i, body, _ in bodies:
-            I6 = self._I_w[i]
-            if body.mass == 0.0 and not body.inertia.any():
-                I6[:] = 0.0
-                continue
-            R = self._T[i, :3, :3]
+                # bias velocity and acceleration: v = v_parent + S qd,
+                # a = a_parent + v x (S qd)
+                np.multiply(Sd, qd[d], out=vj)
+                np.add(pv, vj, out=v[i])
+                _crm_into(v[i], vj, a[i])
+                a[i] += pa
             c = self._com_w[i]
-            Ic = R @ body.inertia @ R.T
-            cx = skew(c)
+            R = T[i, :3, :3]
+            np.matmul(R, body.com, out=c)
+            c += T[i, :3, 3]
+            if body.mass == 0.0 and not body.inertia.any():
+                continue        # W[i] stays zero
             m = body.mass
-            I6[:3, :3] = Ic + m * (cx @ cx.T)
-            I6[:3, 3:] = m * cx
-            I6[3:, :3] = I6[:3, 3:].T
-            I6[3:, 3:] = m * self._eye3
+            Wi = W[i]
+            cx = skew(c)
+            Wi[:3, :3] = R @ body.inertia @ R.T + m * (cx @ cx.T)
+            Wi[:3, 3:6] = m * cx
+            Wi[3:, :3] = Wi[:3, 3:6].T
+            f = Wi[:, 6]
+            np.matmul(Wi[:, :6], a[i], out=f)
+            _crf_add(v[i], Wi[:, :6] @ v[i], f)
+            _cross3(c, Wi[3:, 7], Wi[:3, 7])
 
-    # -- dynamics --------------------------------------------------------
-
-    def _crba(self):
-        IC = self._IC
-        IC[:] = self._I_w
-        A = self.A
-        A[:] = 0.0
-        S = self._S
+    def _backward_sweep(self):
+        """Accumulate the blocks over each subtree, children first: a DOF
+        d's row S_d' acc reads [row of A at d | B_d | -G_d]."""
+        acc, S, P, A = self._acc, self._S, self._P, self.A
+        np.copyto(acc, self._W)
         for i, body, parent in reversed(self._moving):
             if parent >= 0:
-                IC[parent] += IC[i]
+                acc[parent] += acc[i]
             if body.dof is None:
                 continue
             d = body.dof
-            F = IC[i] @ S[d]
-            path = self._P[i]
-            A[d, path] = S[path] @ F
+            row = S[d] @ acc[i]
+            path = P[i]
+            A[d, path] = S[path] @ row[:6]
             A[path, d] = A[d, path]
+            self.B[d] = row[6]
+            self.G[d] = -row[7]
 
     def _rnea(self, qd, qdd, with_gravity, out):
         """Inverse dynamics in world coordinates; writes generalized forces
@@ -448,30 +462,6 @@ class RobotModel:
         for i, body, parent in reversed(self._moving):
             if body.dof is not None:
                 out[body.dof] = S[body.dof] @ f[i]
-            if parent >= 0:
-                f[parent] += f[i]
-        return out
-
-    def _gravity_pass(self, out):
-        """Gravity vector via accumulated static wrenches: G_d = -S_d . f_acc
-        where f_acc sums [c x (m g); m g] over every body at or below d."""
-        f, S = self._f, self._S
-        g = self.description.gravity
-        for i, body, _ in self._moving:
-            fi = f[i]
-            if body.mass == 0.0:
-                fi[:] = 0.0
-                continue
-            m = body.mass
-            c = self._com_w[i]
-            fi[3] = m * g[0]
-            fi[4] = m * g[1]
-            fi[5] = m * g[2]
-            _cross3(c, fi[3:], fi[:3])
-        out[:] = 0.0
-        for i, body, parent in reversed(self._moving):
-            if body.dof is not None:
-                out[body.dof] = -(S[body.dof] @ f[i])
             if parent >= 0:
                 f[parent] += f[i]
         return out

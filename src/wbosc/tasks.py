@@ -189,9 +189,14 @@ class Task:
         getattr(self.gains, which)[:] = arr
 
     def _set_goal(self, key, value):
+        """Set one goal, from the config or the registry: it must keep its
+        length, and a direction goal must be of unit norm."""
         if value.shape != self.goals[key].shape:
             raise TaskError(f"{self.name}.{key}: length {value.shape} does "
                             f"not match {self.goals[key].shape}")
+        if key in ("goalOrientation", "goalVector") \
+                and abs(np.linalg.norm(value) - 1.0) > 1e-6:
+            raise TaskError(f"{self.name}.{key} must be of unit norm")
         self.goals[key] = value
 
 

@@ -177,7 +177,8 @@ def test_criterion_03_projector_algebra():
         worst["pinv"] = max(
             worst["pinv"],
             np.abs(UNc @ cset.UNcBar @ UNc - UNc).max())
-        Jbar = cset.Ainv @ Jc.T @ np.linalg.pinv(Jc @ cset.Ainv @ Jc.T)
+        Ainv = np.linalg.inv(model.A)
+        Jbar = Ainv @ Jc.T @ np.linalg.pinv(Jc @ Ainv @ Jc.T)
         worst["pinv"] = max(worst["pinv"], np.abs(Jc @ Jbar @ Jc - Jc).max())
         worst["lstar"] = max(worst["lstar"], np.abs(cset.Lstar @ UNc).max())
     ok = (worst["idem"] < 1e-9 and worst["annihilate"] < 1e-8

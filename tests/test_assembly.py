@@ -377,3 +377,48 @@ def test_bad_config_goal_fails_at_build_naming_its_task(case):
         AssembledController(description, spec, single_threaded=True)
     assert [t for t in threading.enumerate()
             if t not in before and t.is_alive()] == []
+
+
+# A constraint spec is checked against the model when the controller is
+# built: (text replaced, new text, the constraint the error names).
+BAD_CONSTRAINTS = {
+    "unknown link": ("link: torso_base", "link: torso_bse", "baseWeld"),
+    "master is slave": ("masterJoint: torso_lower_pitch",
+                        "masterJoint: torso_upper_pitch",
+                        "torsoTransmission"),
+    "unknown joint": ("slaveJoint: torso_upper_pitch",
+                      "slaveJoint: torso_uper_pitch", "torsoTransmission"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONSTRAINTS)
+def test_bad_constraint_fails_at_build_naming_it(case):
+    from wbosc.assembly import AssembledController, AssemblyError
+    from wbosc.description import load_description
+    old, new, constraint = BAD_CONSTRAINTS[case]
+    text = fixtures.read_config("dreamer22_disassembly")
+    assert text.count(old) == 1
+    spec = load_config(text.replace(old, new))
+    description = load_description(fixtures.read_robot("dreamer22"))
+    before = set(threading.enumerate())
+    with pytest.raises(AssemblyError, match=f"constraint '{constraint}'"):
+        AssembledController(description, spec, single_threaded=True)
+    assert [t for t in threading.enumerate()
+            if t not in before and t.is_alive()] == []
+
+
+def test_non_unit_goal_vector_from_the_registry_is_refused():
+    """The registry refuses what a config refuses: a non-unit goal vector
+    leaves the goal as it was, and no cycle is suppressed."""
+    name = "rightHandOrientation.goalVector"
+    with build() as ctl:
+        ctl.start()
+        ctl.run(cycles=5)
+        task = ctl.tasks["rightHandOrientation"]
+        kept = task.goals["goalVector"].copy()
+        ctl.registry.stage_input(name, [0.0, 0.0, -2.0])
+        ctl.run(cycles=20)
+        assert ctl.registry.refused_inputs == 1
+        np.testing.assert_array_equal(task.goals["goalVector"], kept)
+        np.testing.assert_array_equal(ctl.registry.require(name).value, kept)
+        assert ctl.runtime.stats.suppressed_commands == 0

@@ -56,6 +56,22 @@ def test_run_config_goal_of_wrong_length_exits_2(tmp_path, capsys, config,
     assert capsys.readouterr().err.startswith("error: task ")
 
 
+@pytest.mark.parametrize("old, new", [
+    ("link: torso_base", "link: torso_bse"),
+    ("masterJoint: torso_lower_pitch", "masterJoint: torso_upper_pitch"),
+], ids=["unknown-link", "master-is-slave"])
+def test_run_bad_constraint_exits_2(tmp_path, capsys, old, new):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(fixtures.read_config("dreamer22_disassembly")
+                   .replace(old, new))
+    rc = main(["run", "--config", str(bad),
+               "--robot", str(fixtures.robot_path("dreamer22")),
+               "--duration", "0.01", "--single-threaded",
+               "--log-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: constraint ")
+
+
 def test_run_invalid_robot_exits_2(tmp_path):
     bad = tmp_path / "bad_robot.yaml"
     bad.write_text("links:\n  - {name: a, mass: -1.0}\n")

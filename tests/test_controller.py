@@ -150,7 +150,7 @@ def reference_ladder(model, cset, compound, tol=DEFAULT_TOLERANCE):
     times that of the unprojected J*_k Phi^(1/2) is fully covered and gets
     Lambda = 0.  Returns (tau, [(level, J_proj, Lambda, J_star)])."""
     UNc = model.underactuation_matrix() @ cset.N_c
-    Phi = UNc @ cset.Ainv @ UNc.T
+    Phi = UNc @ np.linalg.inv(model.A) @ UNc.T
     eye = np.eye(Phi.shape[0])
     P = eye.copy()
     tau = cset.UNcBar.T @ (model.B + model.G)
@@ -174,7 +174,7 @@ def relative(a, b):
 
 
 def assert_matches_reference(model, cset, compound):
-    wbc = Wbosc(22, 16)
+    wbc = Wbosc(model.n_dofs, model.n_joints)
     tau = wbc.compute(model, cset, compound, state_of(model)).effort
     tau_ref, ladder_ref = reference_ladder(model, cset, compound)
     assert relative(tau, tau_ref) <= 1e-10
@@ -223,6 +223,44 @@ def test_ladder_matches_reference_with_rank_deficient_levels(n_levels,
             assert_matches_reference(*random_dreamer(
                 make_model, orientation, level_layouts()[n_levels], rng,
                 right_hand_twice=True))
+
+
+@pytest.mark.parametrize("robot", ["pend1", "planar2"])
+def test_one_level_ladder_matches_reference_without_a_qr(robot, make_model,
+                                                         monkeypatch):
+    # a one-level stack has no head to invert, so it needs no QR basis;
+    # on planar2 the level's five rows have rank 2
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        qr_calls.append(args)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    rng = np.random.default_rng(61)
+    from wbosc.tasks import CompoundTask
+    for _ in range(5):
+        model = make_model(robot)
+        model.update_kinematics(*random_configuration(model, rng))
+        cset = ConstraintSet().update(model)
+        compound = CompoundTask()
+        compound.add(JointPositionTask("posture", model,
+                                       PIDGains(model.n_joints, kp=60.0,
+                                                kd=3.0)), 0)
+        if robot == "planar2":
+            cart = CartesianPositionTask("tip", model,
+                                         PIDGains(3, kp=64.0, kd=3.0),
+                                         link="lower",
+                                         control_point=[0.5, 0.0, 0.0])
+            compound.add(cart, 0)
+        update_all(compound, model)
+        assert_matches_reference(model, cset, compound)
+    assert qr_calls == []
+    # two levels have a head: its block-triangular inverse needs the QR
+    assert_matches_reference(*random_dreamer(make_model, "2d",
+                                             level_layouts()[2], rng))
+    assert len(qr_calls) == 1
 
 
 def test_fully_covered_level_contributes_nothing(make_model):

@@ -144,10 +144,29 @@ def test_crba_matches_inverse_dynamics_columns(name, make_model):
 
 
 @pytest.mark.parametrize("name", FIXTURE_ROBOTS)
+def test_bias_and_gravity_match_inverse_dynamics(name, make_model):
+    """B and G from the two sweeps against the per-body RNEA: B is the
+    gravity-free force at zero acceleration, G the static gravity force.
+    Both are compared relative to the larger of the two, since pend1's B
+    is zero up to roundoff."""
+    rng = np.random.default_rng(13)
+    model = make_model(name)
+    zero = np.zeros(model.n_dofs)
+    for _ in range(20):
+        q, qd = random_configuration(model, rng)
+        model.update_kinematics(q, qd)
+        B = model.inverse_dynamics(zero, qd, gravity=False)
+        G = model.inverse_dynamics(zero, None, gravity=True)
+        scale = max(np.abs(B).max(), np.abs(G).max())
+        assert np.abs(model.B - B).max() <= 1e-12 * scale
+        assert np.abs(model.G - G).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", FIXTURE_ROBOTS)
 def test_passes_that_skip_bodies_that_never_move_change_no_bit(name,
                                                                descriptions):
-    """The passes visit only the bodies with a DOF on their root path; a
-    model whose passes visit every body, each with its own parent, gives
+    """The sweeps visit only the bodies with a DOF on their root path; a
+    model whose sweeps visit every body, each with its own parent, gives
     the same bits."""
     rng = np.random.default_rng(29)
     model = RobotModel(descriptions[name])
