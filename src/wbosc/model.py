@@ -558,10 +558,12 @@ def _cross3(a, b, out):
     """3-vector cross product into a preallocated output.
 
     np.cross carries tens of microseconds of axis bookkeeping per call in the
-    servo hot path; this stays under a microsecond.
+    servo hot path; this stays under a microsecond.  The helpers read their
+    inputs with ``tolist``: arithmetic on Python floats is faster than on
+    numpy scalars, and gives the same bits.
     """
-    a0, a1, a2 = a[0], a[1], a[2]
-    b0, b1, b2 = b[0], b[1], b[2]
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
     out[0] = a1 * b2 - a2 * b1
     out[1] = a2 * b0 - a0 * b2
     out[2] = a0 * b1 - a1 * b0
@@ -570,25 +572,21 @@ def _cross3(a, b, out):
 
 def _crm_into(v, u, out):
     """Spatial motion cross product v x u (angular-first blocks)."""
-    w0, w1, w2, v0, v1, v2 = v[0], v[1], v[2], v[3], v[4], v[5]
-    u0, u1, u2, u3, u4, u5 = u[0], u[1], u[2], u[3], u[4], u[5]
-    out[0] = w1 * u2 - w2 * u1
-    out[1] = w2 * u0 - w0 * u2
-    out[2] = w0 * u1 - w1 * u0
-    out[3] = v1 * u2 - v2 * u1 + w1 * u5 - w2 * u4
-    out[4] = v2 * u0 - v0 * u2 + w2 * u3 - w0 * u5
-    out[5] = v0 * u1 - v1 * u0 + w0 * u4 - w1 * u3
+    w0, w1, w2, v0, v1, v2 = v.tolist()
+    u0, u1, u2, u3, u4, u5 = u.tolist()
+    out[:] = (w1 * u2 - w2 * u1, w2 * u0 - w0 * u2, w0 * u1 - w1 * u0,
+              v1 * u2 - v2 * u1 + w1 * u5 - w2 * u4,
+              v2 * u0 - v0 * u2 + w2 * u3 - w0 * u5,
+              v0 * u1 - v1 * u0 + w0 * u4 - w1 * u3)
     return out
 
 
 def _crf_add(v, u, out):
     """Accumulate the spatial force cross product v x* u into out."""
-    w0, w1, w2, v0, v1, v2 = v[0], v[1], v[2], v[3], v[4], v[5]
-    u0, u1, u2, u3, u4, u5 = u[0], u[1], u[2], u[3], u[4], u[5]
-    out[0] += w1 * u2 - w2 * u1 + v1 * u5 - v2 * u4
-    out[1] += w2 * u0 - w0 * u2 + v2 * u3 - v0 * u5
-    out[2] += w0 * u1 - w1 * u0 + v0 * u4 - v1 * u3
-    out[3] += w1 * u5 - w2 * u4
-    out[4] += w2 * u3 - w0 * u5
-    out[5] += w0 * u4 - w1 * u3
+    w0, w1, w2, v0, v1, v2 = v.tolist()
+    u0, u1, u2, u3, u4, u5 = u.tolist()
+    out += (w1 * u2 - w2 * u1 + v1 * u5 - v2 * u4,
+            w2 * u0 - w0 * u2 + v2 * u3 - v0 * u5,
+            w0 * u1 - w1 * u0 + v0 * u4 - v1 * u3,
+            w1 * u5 - w2 * u4, w2 * u3 - w0 * u5, w0 * u4 - w1 * u3)
     return out
