@@ -22,7 +22,10 @@ here, in the model process, rather than on every servo cycle.
 
 import numpy as np
 
-from .linalg import DEFAULT_TOLERANCE, dyn_consistent_pinv, eigh_pinv
+from .linalg import (DEFAULT_TOLERANCE, dyn_consistent_pinv,
+                     eigh_inverse_weights)
+
+_EPS = np.finfo(float).eps
 
 
 class ConstraintError(ValueError):
@@ -81,6 +84,9 @@ class PointContactConstraint(Constraint):
         super().__init__(name)
         self.link = link
         self.point = np.asarray(point, dtype=float)
+        if self.point.shape != (3,):
+            raise ConstraintError(
+                f"point must be a 3-vector, got shape {self.point.shape}")
 
     def jacobian(self, model, out=None):
         return model.point_jacobian(self.link, self.point, out=out)
@@ -143,6 +149,7 @@ class ConstraintSet:
         self.Phi = None
         self.UNcBarL = None
         self._U = None              # the model's constant U, kept by update
+        self._layout = None         # (n_dofs, rows of each constraint)
         self.version = 0            # bumped by every update
 
     def add(self, constraint):
@@ -156,9 +163,6 @@ class ConstraintSet:
 
     def enabled_constraints(self):
         return [c for c in self.constraints if c.enabled]
-
-    def total_constrained_dofs(self):
-        return sum(c.constrained_dof_count for c in self.enabled_constraints())
 
     # everything update fills
     UPDATED = ("J_c", "N_c", "UNcBar", "Phi", "UNcBarL")
@@ -178,30 +182,45 @@ class ConstraintSet:
         nj = model.n_joints
         U = self._U = model.underactuation_matrix()
         Ainv = np.linalg.inv(model.A)
-        enabled = self.enabled_constraints()
-        rows = self.total_constrained_dofs()
+        # the rows of each enabled constraint and the identity follow from
+        # the enabled flags and row counts alone; the constraint objects
+        # themselves may be replaced between updates
+        layout = (n, tuple(c.constrained_dof_count if c.enabled else 0
+                           for c in self.constraints))
+        if layout != self._layout:
+            self._layout = layout
+            self._eye = np.eye(n)
+            self._blocks = []
+            r = 0
+            for k, count in enumerate(layout[1]):
+                if count:
+                    self._blocks.append((k, slice(r, r + count)))
+                    r += count
+            self._rows = r
+        rows = self._rows
         if self.J_c is None or self.J_c.shape != (rows, n):
             self.J_c = np.zeros((rows, n))
-        r = 0
-        for c in enabled:
-            c.jacobian(model, out=self.J_c[r:r + c.constrained_dof_count])
-            r += c.constrained_dof_count
+        for k, block in self._blocks:
+            self.constraints[k].jacobian(model, out=self.J_c[block])
         if rows == 0:
-            self.N_c = np.eye(n)
+            self.N_c = self._eye
             UNc = U
         else:
             Jbar = dyn_consistent_pinv(self.J_c, Ainv, self.tolerance)
-            self.N_c = np.eye(n) - Jbar @ self.J_c
+            self.N_c = self._eye - Jbar @ self.J_c
             UNc = U @ self.N_c
-        # one eigendecomposition of Phi gives both the tolerant inverse in
-        # UNcBar (dyn_consistent_pinv's, cutoff tol^2) and L (cutoff nj eps)
+        # one eigendecomposition Phi = V diag(w) V' gives both the tolerant
+        # inverse in UNcBar (dyn_consistent_pinv's, cutoff tol^2) and
+        # L = V_keep sqrt(w_keep) (cutoff nj eps): with AV = Ainv (U N_c)' V
+        # scaled by the inverse weights, UNcBar = AV V' and UNcBar L is AV's
+        # kept columns times sqrt(w)
         AiUt = Ainv @ UNc.T
         self.Phi = UNc @ AiUt
         w, V = np.linalg.eigh(self.Phi)
-        tol = self.tolerance
-        self.UNcBar = AiUt @ eigh_pinv(w, V, tol * tol)
-        keep = w > w[-1] * nj * np.finfo(float).eps
-        self.UNcBarL = self.UNcBar @ (V[:, keep] * np.sqrt(w[keep]))
+        AV = (AiUt @ V) * eigh_inverse_weights(w, self.tolerance ** 2)
+        self.UNcBar = AV @ V.T
+        first = np.searchsorted(w, w[-1] * nj * _EPS, side="right")
+        self.UNcBarL = AV[:, first:] * np.sqrt(w[first:])
         self.version += 1
         return self
 

@@ -37,6 +37,7 @@ rows, not the number of levels.  Otherwise every level is projected in
 turn in the whitened rows themselves; a one-level stack needs no QR at all.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,7 @@ def ladder_forces(Jw, xdd, starts, tol, same_level):
     level (``TaskStack.same_level``).
     """
     n_levels = len(starts) - 1
-    rows2 = np.einsum("ij,ij->i", Jw, Jw)
+    rows2 = (Jw * Jw).sum(axis=1)
     # Frobenius norm of each unprojected level, >= its largest singular value
     frob = np.sqrt(np.add.reduceat(rows2, starts[:-1]))
     first = n_levels - 1
@@ -127,7 +128,7 @@ def ladder_forces(Jw, xdd, starts, tol, same_level):
             X = R.T
 
     tail = project_levels(X, starts, frob, tol, first,
-                          np.eye(X.shape[1])[:, head:])
+                          _identity(X.shape[1])[:, head:])
     g = np.zeros(len(xdd))
     a = 0.0             # sum over later levels of X[rows_j]' g_j
     for j in range(n_levels - 1, first - 1, -1):
@@ -143,6 +144,12 @@ def ladder_forces(Jw, xdd, starts, tol, same_level):
         Rinv, Dinv = inverse
         g[:head] = Rinv @ (Dinv.T @ xdd[:head] - a[:head])
     return g
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n):
+    """The n x n identity, built once per size; callers never write it."""
+    return np.eye(n)
 
 
 def _head_inverse(R, head, same_level):
@@ -197,10 +204,9 @@ class _LadderRecord:
         with Z_k = sum over j < k of (J*_{j|prev} L)^+ J*_{j|prev}."""
         Jw, starts = self.Jw, self.starts
         J_star = self.J @ self.UNcBar
-        frob = np.sqrt(np.add.reduceat(np.einsum("ij,ij->i", Jw, Jw),
-                                       starts[:-1]))
+        frob = np.sqrt(np.add.reduceat((Jw * Jw).sum(axis=1), starts[:-1]))
         per_level = project_levels(Jw, starts, frob, self.tol, 0,
-                                   np.eye(Jw.shape[1]))
+                                   _identity(Jw.shape[1]))
         Z = np.zeros((Jw.shape[1], J_star.shape[1]))
         out = []
         for j, (u, s, vt) in enumerate(per_level):
@@ -230,6 +236,7 @@ class Wbosc:
         # gravity_mask[i] True = joint i receives no gravity compensation
         self.gravity_mask = (np.zeros(n_joints, dtype=bool) if gravity_mask is None
                              else np.asarray(gravity_mask, dtype=bool))
+        self._any_masked = bool(self.gravity_mask.any())
         self._record = None
         self._ladder = None
         self._memo_key = None       # _inputs_key of _memo_tau, or None
@@ -291,7 +298,8 @@ class Wbosc:
 
         tau = UNcBar.T @ (J.T @ g + model.B)
         grav = UNcBar.T @ model.G
-        grav[self.gravity_mask] = 0.0
+        if self._any_masked:
+            grav[self.gravity_mask] = 0.0
         tau += grav
         if internal_force_ref is not None:
             tau += constraint_set.Lstar.T @ internal_force_ref

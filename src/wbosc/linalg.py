@@ -27,16 +27,18 @@ def sym_pinv(M, tol=DEFAULT_TOLERANCE):
     Cheaper than SVD in the servo hot path; eigenvalues below tol * largest
     (or negative from roundoff) are zeroed.
     """
-    return eigh_pinv(*np.linalg.eigh(M), tol)
+    w, V = np.linalg.eigh(M)
+    return (V * eigh_inverse_weights(w, tol)) @ V.T
 
 
-def eigh_pinv(w, V, tol=DEFAULT_TOLERANCE):
-    """sym_pinv from the eigendecomposition (w, V) = eigh(M)."""
+def eigh_inverse_weights(w, tol=DEFAULT_TOLERANCE):
+    """1/w for the ascending eigenvalues w above tol times the largest, 0
+    for the rest (all of them when none is positive)."""
     top = w[-1]
     if top <= 0.0:
-        return np.zeros_like(V)
-    inv = np.where(w > tol * top, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-    return (V * inv) @ V.T
+        return np.zeros_like(w)
+    keep = w > tol * top
+    return keep / np.where(keep, w, 1.0)
 
 
 def gram_pinv(M, tol=DEFAULT_TOLERANCE):

@@ -16,18 +16,34 @@ common frame the sweeps below need no per-joint coordinate transforms:
 
 - motion subspace of a revolute DOF at world point p with world axis w:
   S = [w; p x w]; of a prismatic DOF: S = [0; w]
-- spatial inertia of a body with mass m, world com c, world rotational
-  inertia I_c about the com:  [[I_c + m*cx*cx^T, m*cx], [m*cx^T, m*E]]
+- spatial inertia of a body whose world pseudo-inertia is
+  J = [[Sigma, h], [h', m]] (Sigma its second mass moment about the world
+  origin, h = m c for its world com c):  [[tr(Sigma) E - Sigma, hx], [hx^T, m*E]]
 
-A, B and G come from one forward and one backward sweep over the moving
-bodies (Featherstone, Rigid Body Dynamics Algorithms, ch. 5-6).  Parents
-first, the forward sweep computes each body's transform, S, world com c,
-spatial inertia I and bias motion v = v_parent + S qd, a = a_parent +
-v x (S qd), and writes the block W = [I | I a + v x* I v | [c x m g; m g]].
-Children first, the backward sweep sums each block into its parent's; for
-the body of DOF d the one row S_d' W_sum is [F' | B_d | -G_d], where
-F = I_composite S_d gives A[d, e] = S_e' F for each DOF e on the body's
-root path.  ``inverse_dynamics`` keeps its own per-body RNEA, an
+What the tree and the joints fix is built once, with the model:
+
+- joint bases: a DOF's local transform (parent frame to body frame) is its
+  coefficients [1, sin q, cos q, q] times four constant 4 x 4 matrices, the
+  origin times Rodrigues' formula for a revolute joint or times a
+  translation along the axis for a prismatic one; a fixed joint's is its
+  origin;
+- each body's pseudo-inertia J_b about its own origin, whose world form is
+  J = T J_b T', and one 16 -> 48 map from J to the body's block W below,
+  less its bias column;
+- the path mask P (see Jacobians) and its transpose Desc[dof, body], which
+  marks the bodies of each DOF's subtree.
+
+A, B and G come from one forward sweep and three masked products
+(Featherstone, Rigid Body Dynamics Algorithms, ch. 5-6).  Parents first,
+the forward sweep forms each moving body's transform T = T_parent local,
+its S, and its bias motion v = v_parent + S qd, a = a_parent + v x (S qd).
+Then, for every body at once, T J_b T' and the map give the block
+W = [I | I a + v x* I v | -[c x m g; m g]], whose last column is the wrench
+that holds the body against gravity.  The backward sweep is three products:
+the composite blocks Desc W of each DOF's subtree; their rows
+S_d' (Desc W)_d = [F_d' | B_d | G_d]; and A = sym(path * (F S')), where
+the path mask keeps A[d, e] = F_d' S_e for each DOF e on the root path of
+d's body.  ``inverse_dynamics`` keeps its own per-body RNEA, an
 independent oracle for all three.
 
 Jacobians
@@ -41,13 +57,12 @@ masked expression of S and the joint type is read only where FK builds S:
 - COM column:  ((P^T m)_d S_lin[d] + S_ang[d] x (P^T (m c))_d) / sum(m)
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .description import RobotDescription
-from .geometry import axis_angle_matrix, make_transform, rpy_matrix, skew
+from .geometry import make_transform, rpy_matrix, skew
 
 _VIRTUAL_SPECS = (
     ("_virtual_tx", "prismatic", np.array([1.0, 0.0, 0.0])),
@@ -57,6 +72,9 @@ _VIRTUAL_SPECS = (
     ("_virtual_ry", "revolute", np.array([0.0, 1.0, 0.0])),
     ("_virtual_rz", "revolute", np.array([0.0, 0.0, 1.0])),
 )
+
+
+_ZERO6 = (0.0,) * 6
 
 
 class ModelError(ValueError):
@@ -121,22 +139,25 @@ class RobotModel:
         n = self.n_dofs
         L = len(self._bodies)
 
-        self.q_full = np.zeros(n)
+        # the joint-basis coefficients [1, sin q, cos q, q] of every DOF;
+        # q_full is their last row
+        self._coef = np.ones((4, n))
+        self.q_full = self._coef[3]
         self.qd_full = np.zeros(n)
         self.A = np.zeros((n, n))
-        self.B = np.zeros(n)
-        self.G = np.zeros(n)
+        self._BG = np.zeros((2, n))
+        self.B, self.G = self._BG
         self.stamp = 0.0              # set by the runtime; staleness = now - stamp
         self.version = 0              # bumped by every update_kinematics
         self._fresh = False
 
         # preallocated workspaces (sized once, reused every update); the
-        # forward sweep fills W[i] = [I | bias wrench | gravity wrench]
+        # forward sweep fills W[i] = [I | bias wrench | gravity-holding wrench]
         self._T = np.zeros((L, 4, 4))
-        self._com_w = np.zeros((L, 3))
+        self._TJ = np.zeros((L, 4, 5))
+        self._com_w = self._TJ[:, :3, 4]
         self._W = np.zeros((L, 6, 8))
         self._I_w = self._W[:, :, :6]
-        self._acc = np.zeros((L, 6, 8))
         self._S = np.zeros((n, 6))
         self._S_ang = self._S[:, :3].T    # 3 x n views of the S rows
         self._S_lin = self._S[:, 3:].T
@@ -146,10 +167,17 @@ class RobotModel:
         self._a0 = np.zeros(6)
         self._zero6 = np.zeros(6)
         self._vj = np.zeros(6)
+        self._S_rows = [_ZERO6] * n
+        self._vs = [_ZERO6] * L       # v and a of each body, as float tuples
+        self._as = [_ZERO6] * L
         self._eye4 = np.eye(4)
-        self._eye3 = np.eye(3)
-        self._jointT = np.eye(4)
-        self._motion = np.eye(4)
+        self._local = np.zeros((n, 1, 16))
+        self._J_w = np.zeros((L, 4, 4))
+        self._Iv = np.zeros((L, 6, 1))
+        self._Wc = np.zeros((n, 6, 8))
+        self._rows = np.zeros((n, 1, 8))
+        self._FS = np.zeros((n, n))
+        self._half = np.zeros((n, n))
         self._U = self._build_underactuation()
 
         # constant topology: P[body, dof] marks the DOFs on the body's root
@@ -163,25 +191,74 @@ class RobotModel:
         self._mass = np.array([b.mass for b in self._bodies])
         self._total_mass = float(self._mass.sum())
         self._path_mass = self._mass @ self._P
-        # the constant parts of W: m E and the gravity force m g
-        g = self.description.gravity
-        for i, body in enumerate(self._bodies):
-            self._W[i, 3:, 3:6] = body.mass * self._eye3
-            self._W[i, 3:, 7] = body.mass * g
+        # the backward sweep's masks: Desc[d, body] marks the bodies of DOF
+        # d's subtree, which are those with d on their root path, and
+        # half[d, e] is 1 for each DOF e above d on the path of d's body
+        # and 1/2 on the diagonal, so that A = X + X' for X = half * F S'
+        self._Desc = self._P.T.astype(float)
+        dof_body = [i for i, b in enumerate(self._bodies) if b.dof is not None]
+        self._half[:] = self._P[dof_body]
+        np.fill_diagonal(self._half, 0.5)
+
+        self._build_constants()
 
         # a body with no DOF on its root path never moves: its transform,
-        # COM and spatial inertia are filled once here.  The sweeps visit
-        # only the other bodies, as (index, body, parent), where a parent
-        # that never moves counts as the world: its velocity and bias
-        # acceleration are zero, and no generalized force reads its wrench
+        # COM and spatial inertia are filled once here.  The forward sweep
+        # visits only the other bodies, as (index, body, parent), where a
+        # parent that never moves counts as the world: its velocity and
+        # bias acceleration are zero
         moving = self._P.any(axis=1)
         self._moving = [
             (i, body, body.parent if body.parent >= 0
              and moving[body.parent] else -1)
             for i, body in enumerate(self._bodies) if moving[i]]
+        self._massive = [i for i, body, _ in self._moving
+                         if body.mass or body.inertia.any()]
         self._forward_sweep([(i, body, body.parent)
                              for i, body in enumerate(self._bodies)
                              if not moving[i]])
+
+    def _build_constants(self):
+        """What the tree and the joints fix: each DOF's joint basis, each
+        body's pseudo-inertia, and the map from world pseudo-inertias to W."""
+        L = len(self._bodies)
+        # joint bases: a body's transform relative to its parent is
+        # origin (I + sin q K + (1 - cos q) K^2) for a revolute joint, with
+        # K the cross-product matrix of its axis, and origin (I + q K) for a
+        # prismatic one, with K moving the origin along the axis.  So each
+        # DOF's local transform is its coefficients [1, sin q, cos q, q]
+        # times the constant basis [origin + origin K^2, origin K,
+        # -origin K^2, 0] or [origin, 0, 0, origin K]
+        self._basis = np.zeros((self.n_dofs, 4, 4, 4))
+        self._J_b = np.zeros((L, 4, 5))
+        self._axes = []
+        for i, body in enumerate(self._bodies):
+            self._axes.append(tuple(body.axis.tolist()))
+            if body.dof is not None:
+                b = self._basis[body.dof]
+                K = np.zeros((4, 4))
+                if body.jtype == "revolute":
+                    K[:3, :3] = skew(body.axis)
+                    b[1] = body.origin @ K
+                    b[2] = -(b[1] @ K)
+                    b[0] = body.origin - b[2]
+                else:
+                    K[:3, 3] = body.axis
+                    b[0] = body.origin
+                    b[3] = body.origin @ K
+            # pseudo-inertia about the body origin, in the body frame,
+            # [[Sigma, m c], [m c', m]] with Sigma = tr(I)/2 E - I + m c c'
+            # for the rotational inertia I about the COM; a fifth column
+            # [c; 1] carries the COM through the same product with T
+            m, c, J = body.mass, body.com, self._J_b[i]
+            J[:3, :3] = (0.5 * np.trace(body.inertia) * np.eye(3)
+                         - body.inertia + m * np.outer(c, c))
+            J[:3, 3] = J[3, :3] = m * c
+            J[3, 3] = m
+            J[:3, 4] = c
+            J[3, 4] = 1.0
+        self._basis = self._basis.reshape(self.n_dofs, 4, 16)
+        self._inertia_map = _inertia_map(self.description.gravity)
 
     # -- construction ----------------------------------------------------
 
@@ -359,75 +436,76 @@ class RobotModel:
 
     def _forward_sweep(self, bodies):
         """Each body's transform, S vector, world COM and block W[i] =
-        [I | bias wrench | gravity wrench], parents first."""
-        T, S, W, v, a = self._T, self._S, self._W, self._v, self._a
-        q, qd = self.q_full, self.qd_full
-        eye4, joint_T, motion, vj = (self._eye4, self._jointT, self._motion,
-                                     self._vj)
-        zero6 = self._zero6
+        [I | bias wrench | wrench that holds it against gravity], parents
+        first."""
+        T, W, local = self._T, self._W, self._local
+        coef = self._coef
+        np.sin(coef[3], out=coef[1])
+        np.cos(coef[3], out=coef[2])
+        np.matmul(coef.T[:, None, :], self._basis, out=local)
+        local = local.reshape(-1, 4, 4)
+        eye4, axes, vs, as_ = self._eye4, self._axes, self._vs, self._as
+        S = self._S_rows
+        qd = self.qd_full.tolist()
         for i, body, parent in bodies:
-            np.matmul(eye4 if body.parent < 0 else T[body.parent],
-                      body.origin, out=joint_T)
-            pv = zero6 if parent < 0 else v[parent]
-            pa = zero6 if parent < 0 else a[parent]
-            if body.dof is None:
-                T[i] = joint_T
-                v[i] = pv
-                a[i] = pa
+            d = body.dof
+            # np.dot, unlike np.matmul, releases the GIL: a thread waiting
+            # behind a looping update gets in within one body's product,
+            # not after the 5 ms switch interval
+            np.dot(eye4 if body.parent < 0 else T[body.parent],
+                   body.origin if d is None else local[d], out=T[i])
+            pv = _ZERO6 if parent < 0 else vs[parent]
+            pa = _ZERO6 if parent < 0 else as_[parent]
+            if d is None:
+                vs[i], as_[i] = pv, pa
+                continue
+            # the joint leaves its axis fixed: in world coordinates it is
+            # the body's rotation times the local axis, through the origin
+            (r0, r1, r2, p0), (r3, r4, r5, p1), (r6, r7, r8, p2), _ = \
+                T[i].tolist()
+            x, y, z = axes[i]
+            w0 = r0 * x + r1 * y + r2 * z
+            w1 = r3 * x + r4 * y + r5 * z
+            w2 = r6 * x + r7 * y + r8 * z
+            if body.jtype == "revolute":
+                S[d] = (w0, w1, w2, p1 * w2 - p2 * w1, p2 * w0 - p0 * w2,
+                        p0 * w1 - p1 * w0)
             else:
-                d = body.dof
-                Sd = S[d]
-                w = joint_T[:3, :3] @ body.axis
-                if body.jtype == "revolute":
-                    _axis_rotation_into(body.axis, q[d], motion)
-                    Sd[:3] = w
-                    _cross3(joint_T[:3, 3], w, Sd[3:])
-                else:
-                    motion[:3, :3] = self._eye3
-                    np.multiply(body.axis, q[d], out=motion[:3, 3])
-                    Sd[:3] = 0.0
-                    Sd[3:] = w
-                np.matmul(joint_T, motion, out=T[i])
-                # bias velocity and acceleration: v = v_parent + S qd,
-                # a = a_parent + v x (S qd)
-                np.multiply(Sd, qd[d], out=vj)
-                np.add(pv, vj, out=v[i])
-                _crm_into(v[i], vj, a[i])
-                a[i] += pa
-            c = self._com_w[i]
-            R = T[i, :3, :3]
-            np.matmul(R, body.com, out=c)
-            c += T[i, :3, 3]
-            if body.mass == 0.0 and not body.inertia.any():
-                continue        # W[i] stays zero
-            m = body.mass
-            Wi = W[i]
-            cx = skew(c)
-            Wi[:3, :3] = R @ body.inertia @ R.T + m * (cx @ cx.T)
-            Wi[:3, 3:6] = m * cx
-            Wi[3:, :3] = Wi[:3, 3:6].T
-            f = Wi[:, 6]
-            np.matmul(Wi[:, :6], a[i], out=f)
-            _crf_add(v[i], Wi[:, :6] @ v[i], f)
-            _cross3(c, Wi[3:, 7], Wi[:3, 7])
+                S[d] = (0.0, 0.0, 0.0, w0, w1, w2)
+            vs[i], as_[i] = _bias_motion(pv, pa, S[d], qd[d])
+        if S:
+            self._S[:] = S
+        v, a = self._v, self._a
+        v[:] = vs
+        a[:] = as_
+        # for every body at once: T [J_b | c; 1] gives the world COM in
+        # its fifth column, and the world pseudo-inertia T J_b T' gives the
+        # inertia and gravity columns of W[i] through the constant map
+        L = len(T)
+        TJ = self._TJ
+        np.matmul(T, self._J_b, out=TJ)
+        np.matmul(TJ[:, :, :4], T.transpose(0, 2, 1), out=self._J_w)
+        np.matmul(self._J_w.reshape(L, 16), self._inertia_map,
+                  out=W.reshape(L, 48))
+        # the bias wrench I a + v x* I v
+        I, Iv = self._I_w, self._Iv
+        np.matmul(I, a[:, :, None], out=W[:, :, 6:7])
+        np.matmul(I, v[:, :, None], out=Iv)
+        for i in self._massive:
+            _crf_add(v[i], Iv[i, :, 0], W[i, :, 6])
 
     def _backward_sweep(self):
-        """Accumulate the blocks over each subtree, children first: a DOF
-        d's row S_d' acc reads [row of A at d | B_d | -G_d]."""
-        acc, S, P, A = self._acc, self._S, self._P, self.A
-        np.copyto(acc, self._W)
-        for i, body, parent in reversed(self._moving):
-            if parent >= 0:
-                acc[parent] += acc[i]
-            if body.dof is None:
-                continue
-            d = body.dof
-            row = S[d] @ acc[i]
-            path = P[i]
-            A[d, path] = S[path] @ row[:6]
-            A[path, d] = A[d, path]
-            self.B[d] = row[6]
-            self.G[d] = -row[7]
+        """Sum each DOF's subtree of blocks with the subtree mask; the DOF's
+        row S_d' of that sum reads [F_d' | B_d | G_d], and A[d, e] =
+        F_d' S_e for each DOF e on the root path of d's body."""
+        n, rows, FS = self.n_dofs, self._rows, self._FS
+        np.matmul(self._Desc, self._W.reshape(len(self._W), 48),
+                  out=self._Wc.reshape(n, 48))
+        np.matmul(self._S[:, None, :], self._Wc, out=rows)
+        np.matmul(rows[:, 0, :6], self._S.T, out=FS)
+        np.multiply(FS, self._half, out=FS)
+        np.add(FS, FS.T, out=self.A)
+        np.copyto(self._BG, rows[:, 0, 6:].T)
 
     def _rnea(self, qd, qdd, with_gravity, out):
         """Inverse dynamics in world coordinates; writes generalized forces
@@ -530,44 +608,44 @@ class RobotModel:
         return mc.sum(axis=0) / total, J
 
 
-def _axis_rotation_into(axis, angle, T):
-    """Write the joint rotation into the 3x3 block of a scratch transform."""
-    c, s = math.cos(angle), math.sin(angle)
-    a0, a1, a2 = axis[0], axis[1], axis[2]
-    if a0 == 1.0 and a1 == 0.0 and a2 == 0.0:
-        T[0, 0] = 1.0; T[0, 1] = 0.0; T[0, 2] = 0.0
-        T[1, 0] = 0.0; T[1, 1] = c; T[1, 2] = -s
-        T[2, 0] = 0.0; T[2, 1] = s; T[2, 2] = c
-    elif a0 == 0.0 and a1 == 1.0 and a2 == 0.0:
-        T[0, 0] = c; T[0, 1] = 0.0; T[0, 2] = s
-        T[1, 0] = 0.0; T[1, 1] = 1.0; T[1, 2] = 0.0
-        T[2, 0] = -s; T[2, 1] = 0.0; T[2, 2] = c
-    elif a0 == 0.0 and a1 == 0.0 and a2 == 1.0:
-        T[0, 0] = c; T[0, 1] = -s; T[0, 2] = 0.0
-        T[1, 0] = s; T[1, 1] = c; T[1, 2] = 0.0
-        T[2, 0] = 0.0; T[2, 1] = 0.0; T[2, 2] = 1.0
-    else:
-        T[:3, :3] = axis_angle_matrix(axis, angle)
-    T[0, 3] = 0.0
-    T[1, 3] = 0.0
-    T[2, 3] = 0.0
-    return T
+def _inertia_map(g):
+    """The constant 16 x 48 map from a body's world pseudo-inertia
+    J = [[Sigma, h], [h', m]] (h = m c, row-major) to its block W (6 x 8,
+    row-major) less the bias column: the spatial inertia
+    [[tr(Sigma) E - Sigma, h x], [(h x)', m E]] and the wrench
+    -[h x g; m g] that holds the body against gravity."""
+    M = np.zeros((4, 4, 6, 8))
+    eps = np.zeros((3, 3, 3))         # Levi-Civita: (h x)[i, j] = -eps[i, j, k] h_k
+    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
+    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
+    for i in range(3):
+        for k in range(3):
+            M[k, k, i, i] = 1.0
+            M[i, k, i, k] -= 1.0
+        M[3, 3, 3 + i, 3 + i] = 1.0
+        M[3, 3, 3 + i, 7] = -g[i]
+    M[:3, 3, :3, 3:6] = -eps.transpose(2, 0, 1)
+    M[:3, 3, 3:6, :3] = -eps.transpose(2, 1, 0)
+    M[:3, 3, :3, 7] = -np.einsum("ijk,k->ji", eps, g)
+    return M.reshape(16, 48)
 
 
-def _cross3(a, b, out):
-    """3-vector cross product into a preallocated output.
+# The spatial cross products below work on Python floats: np.cross carries
+# tens of microseconds of axis bookkeeping per call, and arithmetic on Python
+# floats is faster than on numpy scalars, with the same bits.
 
-    np.cross carries tens of microseconds of axis bookkeeping per call in the
-    servo hot path; this stays under a microsecond.  The helpers read their
-    inputs with ``tolist``: arithmetic on Python floats is faster than on
-    numpy scalars, and gives the same bits.
-    """
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    out[0] = a1 * b2 - a2 * b1
-    out[1] = a2 * b0 - a0 * b2
-    out[2] = a0 * b1 - a1 * b0
-    return out
+def _bias_motion(pv, pa, s, qd):
+    """v = pv + s qd and a = pa + v x (s qd), 6-tuples of floats."""
+    u0, u1, u2, u3, u4, u5 = s[0] * qd, s[1] * qd, s[2] * qd, s[3] * qd, \
+        s[4] * qd, s[5] * qd
+    w0, w1, w2 = pv[0] + u0, pv[1] + u1, pv[2] + u2
+    v0, v1, v2 = pv[3] + u3, pv[4] + u4, pv[5] + u5
+    return ((w0, w1, w2, v0, v1, v2),
+            (pa[0] + w1 * u2 - w2 * u1, pa[1] + w2 * u0 - w0 * u2,
+             pa[2] + w0 * u1 - w1 * u0,
+             pa[3] + v1 * u2 - v2 * u1 + w1 * u5 - w2 * u4,
+             pa[4] + v2 * u0 - v0 * u2 + w2 * u3 - w0 * u5,
+             pa[5] + v0 * u1 - v1 * u0 + w0 * u4 - w1 * u3))
 
 
 def _crm_into(v, u, out):

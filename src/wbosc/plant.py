@@ -97,6 +97,18 @@ class SimPlant:
             col = self._independent.index(master_dof)
             E[slave_dof, col] = tr.ratio
         self._E = E
+        # constant parts of the reduced dynamics: E' U' maps the effort, and
+        # each limited independent joint's (column, name, lower, upper)
+        self._EtUt = E.T @ self.model.underactuation_matrix().T
+        virtual = len(self.model.ordering.virtual_indices)
+        self._limited = []
+        for col, dof in enumerate(self._independent):
+            if dof < virtual:
+                continue
+            joint = description.joint(names[dof - virtual])
+            if joint.position_limits is not None:
+                lo, hi = joint.position_limits
+                self._limited.append((col, joint.name, float(lo), float(hi)))
         self._q_r = np.zeros(E.shape[1])
         self._qd_r = np.zeros(E.shape[1])
         self._q_full = np.zeros(n)
@@ -150,10 +162,10 @@ class SimPlant:
     def _reduced_accel(self, q_r, qd_r):
         """(reduced acceleration, contact nullspace basis or None) at
         (q_r, qd_r) under the current effort."""
-        self.model.update_kinematics(self._E @ q_r, self._E @ qd_r)
-        U = self.model.underactuation_matrix()
-        force = self._E.T @ (U.T @ self._tau - self.model.B - self.model.G)
-        M = self._E.T @ self.model.A @ self._E
+        model = self.model
+        model.update_kinematics(self._E @ q_r, self._E @ qd_r)
+        force = self._EtUt @ self._tau - self._E.T @ (model.B + model.G)
+        M = self._E.T @ model.A @ self._E
         Z = self._contact_nullspace()
         if Z is None:
             return np.linalg.solve(M, force), Z
@@ -212,17 +224,10 @@ class SimPlant:
         return self.state()
 
     def _clamp_limits(self):
-        names = self.model.ordering.real_joint_names
-        for col, dof in enumerate(self._independent):
-            if dof in self.model.ordering.virtual_indices:
-                continue
-            name = names[dof - len(self.model.ordering.virtual_indices)]
-            joint = self.description.joint(name)
-            if joint.position_limits is None:
-                continue
-            lo, hi = joint.position_limits
-            if self._q_r[col] < lo or self._q_r[col] > hi:
-                self._q_r[col] = np.clip(self._q_r[col], lo, hi)
+        q = self._q_r.tolist()
+        for col, name, lo, hi in self._limited:
+            if q[col] < lo or q[col] > hi:
+                self._q_r[col] = min(max(q[col], lo), hi)
                 self._qd_r[col] = 0.0
                 self.limit_hits.append((self.time, name))
 
@@ -263,7 +268,9 @@ class LockstepSimInterface(RobotInterface):
         self._last_effort = hold
 
     def read(self):
-        return self.noise.applied(self._state_queue[0], self._rng)
+        state = self._state_queue[0]
+        return self.noise.applied(state, self._rng) if self.noise.any() \
+            else state
 
     def write(self, command):
         if self.command_delay:

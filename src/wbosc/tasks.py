@@ -473,10 +473,6 @@ class CompoundTask:
     def tasks(self):
         return [e.task for e in self.entries]
 
-    def enabled_at(self, level):
-        return [e.task for e in self.entries
-                if e.priority == level and e.task.enabled]
-
     def levels(self):
         """Priority levels that currently hold at least one enabled task."""
         return sorted({e.priority for e in self.entries if e.task.enabled})

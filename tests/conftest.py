@@ -11,6 +11,57 @@ from wbosc.model import RobotModel
 
 FIXTURE_ROBOTS = ("pend1", "planar2", "dreamer22")
 
+# The joint kinds no fixture robot has: a revolute -> prismatic -> revolute
+# chain with off-axis axes, a massive link on a fixed joint under a moving
+# body, and a second branch off a massive root that never moves.
+BRANCHED = """
+name: branched
+gravity: [0.0, 0.0, -9.81]
+links:
+  - {name: base, mass: 2.0, com: [0.0, 0.0, 0.05],
+     inertia: [0.02, 0.02, 0.01, 0.0, 0.0, 0.0]}
+  - {name: link1, mass: 1.0, com: [0.1, 0.0, 0.2],
+     inertia: [0.01, 0.012, 0.005, 0.001, 0.0, 0.0]}
+  - {name: slider, mass: 0.8, com: [0.0, 0.05, 0.1],
+     inertia: [0.004, 0.003, 0.002, 0.0, 0.0005, 0.0]}
+  - {name: link3, mass: 0.6, com: [0.15, 0.0, 0.0],
+     inertia: [0.001, 0.005, 0.005, 0.0, 0.0, 0.0002]}
+  - {name: tool, mass: 0.3, com: [0.05, 0.02, 0.0],
+     inertia: [0.0005, 0.0004, 0.0003, 0.0, 0.0, 0.0]}
+  - {name: side, mass: 0.7, com: [0.0, 0.1, 0.0],
+     inertia: [0.003, 0.001, 0.003, 0.0, 0.0, 0.0]}
+joints:
+  - name: j1
+    type: revolute
+    parent: base
+    child: link1
+    origin: {xyz: [0.0, 0.0, 0.1], rpy: [0.1, 0.0, 0.0]}
+    axis: [0.0, 0.0, 1.0]
+  - name: j2
+    type: prismatic
+    parent: link1
+    child: slider
+    origin: {xyz: [0.1, 0.0, 0.3], rpy: [0.0, 0.2, 0.0]}
+    axis: [0.6, 0.0, 0.8]
+  - name: j3
+    type: revolute
+    parent: slider
+    child: link3
+    origin: {xyz: [0.0, 0.1, 0.2], rpy: [0.0, 0.0, 0.3]}
+    axis: [0.0, 0.6, 0.8]
+  - name: tool_mount
+    type: fixed
+    parent: link3
+    child: tool
+    origin: {xyz: [0.2, 0.0, 0.0], rpy: [0.3, 0.0, 0.1]}
+  - name: j4
+    type: revolute
+    parent: base
+    child: side
+    origin: {xyz: [0.0, 0.2, 0.1], rpy: [0.0, 0.0, 0.0]}
+    axis: [1.0, 0.0, 0.0]
+"""
+
 
 @pytest.fixture(autouse=True)
 def no_child_process_left_running():
@@ -27,8 +78,10 @@ def no_child_process_left_running():
 
 @pytest.fixture(scope="session")
 def descriptions():
-    return {name: load_description(fixtures.read_robot(name))
-            for name in FIXTURE_ROBOTS}
+    out = {name: load_description(fixtures.read_robot(name))
+           for name in FIXTURE_ROBOTS}
+    out["branched"] = load_description(BRANCHED)
+    return out
 
 
 @pytest.fixture

@@ -388,6 +388,12 @@ BAD_CONSTRAINTS = {
                         "torsoTransmission"),
     "unknown joint": ("slaveJoint: torso_upper_pitch",
                       "slaveJoint: torso_uper_pitch", "torsoTransmission"),
+    "contact point of 2": ("constraints:\n",
+                           "constraints:\n"
+                           "  - name: handContact\n"
+                           "    type: PointContactConstraint\n"
+                           "    link: right_hand\n"
+                           "    point: [0.0, 0.1]\n", "handContact"),
 }
 
 

@@ -3,6 +3,9 @@ import pytest
 
 from conftest import (FIXTURE_ROBOTS, assert_jacobian_close, fd_angular_jacobian,
                       fd_jacobian, random_configuration)
+
+# the fixture robots plus conftest's synthetic branched description
+ALL_ROBOTS = FIXTURE_ROBOTS + ("branched",)
 from wbosc.description import DescriptionError, load_description
 from wbosc.model import ModelError, RobotModel
 
@@ -126,7 +129,7 @@ def test_planar2_matches_closed_form(make_model):
 
 # -- mass matrix cross-oracle ----------------------------------------------
 
-@pytest.mark.parametrize("name", FIXTURE_ROBOTS)
+@pytest.mark.parametrize("name", ALL_ROBOTS)
 def test_crba_matches_inverse_dynamics_columns(name, make_model):
     rng = np.random.default_rng(11)
     model = make_model(name)
@@ -143,7 +146,7 @@ def test_crba_matches_inverse_dynamics_columns(name, make_model):
             assert np.abs(col - A[:, j]).max() < 1e-10
 
 
-@pytest.mark.parametrize("name", FIXTURE_ROBOTS)
+@pytest.mark.parametrize("name", ALL_ROBOTS)
 def test_bias_and_gravity_match_inverse_dynamics(name, make_model):
     """B and G from the two sweeps against the per-body RNEA: B is the
     gravity-free force at zero acceleration, G the static gravity force.
@@ -162,7 +165,7 @@ def test_bias_and_gravity_match_inverse_dynamics(name, make_model):
         assert np.abs(model.G - G).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("name", FIXTURE_ROBOTS)
+@pytest.mark.parametrize("name", ALL_ROBOTS)
 def test_passes_that_skip_bodies_that_never_move_change_no_bit(name,
                                                                descriptions):
     """The sweeps visit only the bodies with a DOF on their root path; a
@@ -363,7 +366,7 @@ class JacobiansByDof:
         return c, J
 
 
-@pytest.mark.parametrize("name", FIXTURE_ROBOTS)
+@pytest.mark.parametrize("name", ALL_ROBOTS)
 def test_jacobians_match_the_per_dof_loops(name, descriptions):
     rng = np.random.default_rng(17)
     model = RobotModel(descriptions[name])

@@ -298,7 +298,8 @@ def test_row_count_matches_enabled_dimensions(make_model):
     update_all(compound, model)
     for level in compound.levels():
         J, x = compound.aggregate_level(level)
-        expected = sum(t.dimension for t in compound.enabled_at(level))
+        expected = sum(e.task.dimension for e in compound.entries
+                       if e.priority == level and e.task.enabled)
         assert J.shape[0] == expected == x.shape[0]
 
 
