@@ -164,6 +164,9 @@ class ConstraintSet:
     def enabled_constraints(self):
         return [c for c in self.constraints if c.enabled]
 
+    def total_constrained_dofs(self):
+        return sum(c.constrained_dof_count for c in self.enabled_constraints())
+
     # everything update fills
     UPDATED = ("J_c", "N_c", "UNcBar", "Phi", "UNcBarL")
 

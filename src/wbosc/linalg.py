@@ -27,7 +27,11 @@ def sym_pinv(M, tol=DEFAULT_TOLERANCE):
     Cheaper than SVD in the servo hot path; eigenvalues below tol * largest
     (or negative from roundoff) are zeroed.
     """
-    w, V = np.linalg.eigh(M)
+    return eigh_pinv(*np.linalg.eigh(M), tol)
+
+
+def eigh_pinv(w, V, tol=DEFAULT_TOLERANCE):
+    """sym_pinv from the eigendecomposition (w, V) = eigh(M)."""
     return (V * eigh_inverse_weights(w, tol)) @ V.T
 
 

@@ -7,6 +7,7 @@ from conftest import (FIXTURE_ROBOTS, assert_jacobian_close, fd_angular_jacobian
 # the fixture robots plus conftest's synthetic branched description
 ALL_ROBOTS = FIXTURE_ROBOTS + ("branched",)
 from wbosc.description import DescriptionError, load_description
+from wbosc.geometry import axis_angle_matrix, skew
 from wbosc.model import ModelError, RobotModel
 
 
@@ -163,6 +164,37 @@ def test_bias_and_gravity_match_inverse_dynamics(name, make_model):
         scale = max(np.abs(B).max(), np.abs(G).max())
         assert np.abs(model.B - B).max() <= 1e-12 * scale
         assert np.abs(model.G - G).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", ALL_ROBOTS)
+def test_transforms_and_inertias_match_the_link_data(name, descriptions):
+    """Each body's world transform, COM and spatial inertia against the
+    joint origins, axes and link data, chained body by body with
+    axis_angle_matrix and R I R' + m cx cx'.  The RNEA oracle reads the
+    model's own S and I_w, so it cannot see a fault in either."""
+    rng = np.random.default_rng(31)
+    model = RobotModel(descriptions[name])
+    n = model.n_dofs
+    for _ in range(10):
+        q = rng.uniform(-np.pi, np.pi, n)
+        model.update_kinematics(q, rng.uniform(-1.0, 1.0, n))
+        T_ref = []
+        for i, body in enumerate(model._bodies):
+            motion = np.eye(4)
+            if body.jtype == "revolute":
+                motion[:3, :3] = axis_angle_matrix(body.axis, q[body.dof])
+            elif body.jtype == "prismatic":
+                motion[:3, 3] = body.axis * q[body.dof]
+            parent_T = np.eye(4) if body.parent < 0 else T_ref[body.parent]
+            T_ref.append(parent_T @ body.origin @ motion)
+            R, c = T_ref[i][:3, :3], T_ref[i][:3, :3] @ body.com + T_ref[i][:3, 3]
+            m, cx = body.mass, skew(c)
+            I_ref = np.block([[R @ body.inertia @ R.T + m * cx @ cx.T, m * cx],
+                              [m * cx.T, m * np.eye(3)]])
+            scale = max(1.0, np.abs(I_ref).max())
+            assert np.abs(model._T[i] - T_ref[i]).max() <= 1e-13
+            assert np.abs(model._com_w[i] - c).max() <= 1e-13
+            assert np.abs(model._I_w[i] - I_ref).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("name", ALL_ROBOTS)
