@@ -149,7 +149,7 @@ class ConstraintSet:
         self.Phi = None
         self.UNcBarL = None
         self._U = None              # the model's constant U, kept by update
-        self._layout = None         # (n_dofs, rows of each constraint)
+        self._layout = None         # (n_dofs, n_joints, rows of each constraint)
         self.version = 0            # bumped by every update
 
     def add(self, constraint):
@@ -188,14 +188,15 @@ class ConstraintSet:
         # the rows of each enabled constraint and the identity follow from
         # the enabled flags and row counts alone; the constraint objects
         # themselves may be replaced between updates
-        layout = (n, tuple(c.constrained_dof_count if c.enabled else 0
-                           for c in self.constraints))
+        layout = (n, nj, tuple(c.constrained_dof_count if c.enabled else 0
+                               for c in self.constraints))
         if layout != self._layout:
             self._layout = layout
             self._eye = np.eye(n)
+            self._U_eye = U.shape == (n, n) and np.array_equal(U, self._eye)
             self._blocks = []
             r = 0
-            for k, count in enumerate(layout[1]):
+            for k, count in enumerate(layout[2]):
                 if count:
                     self._blocks.append((k, slice(r, r + count)))
                     r += count
@@ -217,12 +218,16 @@ class ConstraintSet:
         # L = V_keep sqrt(w_keep) (cutoff nj eps): with AV = Ainv (U N_c)' V
         # scaled by the inverse weights, UNcBar = AV V' and UNcBar L is AV's
         # kept columns times sqrt(w)
-        AiUt = Ainv @ UNc.T
-        self.Phi = UNc @ AiUt
+        if rows == 0 and self._U_eye:
+            # no constraint and no virtual DOF: U N_c is the identity
+            AiUt = self.Phi = Ainv
+        else:
+            AiUt = Ainv @ UNc.T
+            self.Phi = UNc @ AiUt
         w, V = np.linalg.eigh(self.Phi)
         AV = (AiUt @ V) * eigh_inverse_weights(w, self.tolerance ** 2)
         self.UNcBar = AV @ V.T
-        first = np.searchsorted(w, w[-1] * nj * _EPS, side="right")
+        first = w.searchsorted(w[-1] * nj * _EPS, side="right")
         self.UNcBarL = AV[:, first:] * np.sqrt(w[first:])
         self.version += 1
         return self

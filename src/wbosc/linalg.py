@@ -38,11 +38,14 @@ def eigh_pinv(w, V, tol=DEFAULT_TOLERANCE):
 def eigh_inverse_weights(w, tol=DEFAULT_TOLERANCE):
     """1/w for the ascending eigenvalues w above tol times the largest, 0
     for the rest (all of them when none is positive)."""
-    top = w[-1]
+    # on Python floats: the few eigenvalues of a servo-sized matrix cost
+    # less as a list than as three array operations, with the same bits
+    values = w.tolist()
+    top = values[-1]
     if top <= 0.0:
         return np.zeros_like(w)
-    keep = w > tol * top
-    return keep / np.where(keep, w, 1.0)
+    cut = tol * top
+    return np.array([1.0 / x if x > cut else 0.0 for x in values])
 
 
 def gram_pinv(M, tol=DEFAULT_TOLERANCE):

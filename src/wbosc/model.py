@@ -75,6 +75,7 @@ _VIRTUAL_SPECS = (
 
 
 _ZERO6 = (0.0,) * 6
+_REST = (0.0,) * 12               # v and a of a body that does not move
 
 
 class ModelError(ValueError):
@@ -145,8 +146,10 @@ class RobotModel:
         self.q_full = self._coef[3]
         self.qd_full = np.zeros(n)
         self.A = np.zeros((n, n))
-        self._BG = np.zeros((2, n))
-        self.B, self.G = self._BG
+        # each DOF's row [F_d' | B_d | G_d] of the backward sweep; B and G
+        # are views of its last two columns
+        self._rows = np.zeros((n, 1, 8))
+        self.B, self.G = self._rows[:, 0, 6], self._rows[:, 0, 7]
         self.stamp = 0.0              # set by the runtime; staleness = now - stamp
         self.version = 0              # bumped by every update_kinematics
         self._fresh = False
@@ -161,21 +164,24 @@ class RobotModel:
         self._S = np.zeros((n, 6))
         self._S_ang = self._S[:, :3].T    # 3 x n views of the S rows
         self._S_lin = self._S[:, 3:].T
-        self._v = np.zeros((L, 6))
-        self._a = np.zeros((L, 6))
+        self._va = np.zeros((L, 2, 6))   # each body's v above its a
+        self._v, self._a = self._va[:, 0], self._va[:, 1]
+        self._va_rows = self._va.reshape(L, 12)
         self._f = np.zeros((L, 6))
         self._a0 = np.zeros(6)
         self._zero6 = np.zeros(6)
         self._vj = np.zeros(6)
         self._S_rows = [_ZERO6] * n
-        self._vs = [_ZERO6] * L       # v and a of each body, as float tuples
-        self._as = [_ZERO6] * L
+        self._vas = [_REST] * L       # v + a of each body, as float tuples
         self._eye4 = np.eye(4)
         self._local = np.zeros((n, 1, 16))
+        # views of each body's T and each DOF's local transform: a list
+        # lookup costs less than indexing the array, once per body and update
+        self._Ts = list(self._T)
+        self._locals = list(self._local.reshape(n, 4, 4))
         self._J_w = np.zeros((L, 4, 4))
-        self._Iv = np.zeros((L, 6, 1))
+        self._Iva = np.zeros((L, 6, 2))  # [I v | I a] of each body
         self._Wc = np.zeros((n, 6, 8))
-        self._rows = np.zeros((n, 1, 8))
         self._FS = np.zeros((n, n))
         self._half = np.zeros((n, n))
         self._U = self._build_underactuation()
@@ -438,13 +444,13 @@ class RobotModel:
         """Each body's transform, S vector, world COM and block W[i] =
         [I | bias wrench | wrench that holds it against gravity], parents
         first."""
-        T, W, local = self._T, self._W, self._local
+        T, W = self._T, self._W
         coef = self._coef
         np.sin(coef[3], out=coef[1])
         np.cos(coef[3], out=coef[2])
-        np.matmul(coef.T[:, None, :], self._basis, out=local)
-        local = local.reshape(-1, 4, 4)
-        eye4, axes, vs, as_ = self._eye4, self._axes, self._vs, self._as
+        np.matmul(coef.T[:, None, :], self._basis, out=self._local)
+        Ts, local = self._Ts, self._locals
+        eye4, axes, vas = self._eye4, self._axes, self._vas
         S = self._S_rows
         qd = self.qd_full.tolist()
         for i, body, parent in bodies:
@@ -452,17 +458,17 @@ class RobotModel:
             # np.dot, unlike np.matmul, releases the GIL: a thread waiting
             # behind a looping update gets in within one body's product,
             # not after the 5 ms switch interval
-            np.dot(eye4 if body.parent < 0 else T[body.parent],
-                   body.origin if d is None else local[d], out=T[i])
-            pv = _ZERO6 if parent < 0 else vs[parent]
-            pa = _ZERO6 if parent < 0 else as_[parent]
+            Ti = Ts[i]
+            np.dot(eye4 if body.parent < 0 else Ts[body.parent],
+                   body.origin if d is None else local[d], out=Ti)
+            pva = _REST if parent < 0 else vas[parent]
             if d is None:
-                vs[i], as_[i] = pv, pa
+                vas[i] = pva
                 continue
             # the joint leaves its axis fixed: in world coordinates it is
             # the body's rotation times the local axis, through the origin
             (r0, r1, r2, p0), (r3, r4, r5, p1), (r6, r7, r8, p2), _ = \
-                T[i].tolist()
+                Ti.tolist()
             x, y, z = axes[i]
             w0 = r0 * x + r1 * y + r2 * z
             w1 = r3 * x + r4 * y + r5 * z
@@ -472,12 +478,10 @@ class RobotModel:
                         p0 * w1 - p1 * w0)
             else:
                 S[d] = (0.0, 0.0, 0.0, w0, w1, w2)
-            vs[i], as_[i] = _bias_motion(pv, pa, S[d], qd[d])
+            vas[i] = _bias_motion(pva, S[d], qd[d])
         if S:
             self._S[:] = S
-        v, a = self._v, self._a
-        v[:] = vs
-        a[:] = as_
+        self._va_rows[:] = vas
         # for every body at once: T [J_b | c; 1] gives the world COM in
         # its fifth column, and the world pseudo-inertia T J_b T' gives the
         # inertia and gravity columns of W[i] through the constant map
@@ -487,12 +491,11 @@ class RobotModel:
         np.matmul(TJ[:, :, :4], T.transpose(0, 2, 1), out=self._J_w)
         np.matmul(self._J_w.reshape(L, 16), self._inertia_map,
                   out=W.reshape(L, 48))
-        # the bias wrench I a + v x* I v
-        I, Iv = self._I_w, self._Iv
-        np.matmul(I, a[:, :, None], out=W[:, :, 6:7])
-        np.matmul(I, v[:, :, None], out=Iv)
+        # the bias wrench I a + v x* I v, zero on a body without inertia
+        Iva = self._Iva
+        np.matmul(self._I_w, self._va.transpose(0, 2, 1), out=Iva)
         for i in self._massive:
-            _crf_add(v[i], Iv[i, :, 0], W[i, :, 6])
+            W[i, :, 6] = _bias_wrench(vas[i], Iva[i].tolist())
 
     def _backward_sweep(self):
         """Sum each DOF's subtree of blocks with the subtree mask; the DOF's
@@ -505,7 +508,6 @@ class RobotModel:
         np.matmul(rows[:, 0, :6], self._S.T, out=FS)
         np.multiply(FS, self._half, out=FS)
         np.add(FS, FS.T, out=self.A)
-        np.copyto(self._BG, rows[:, 0, 6:].T)
 
     def _rnea(self, qd, qdd, with_gravity, out):
         """Inverse dynamics in world coordinates; writes generalized forces
@@ -634,18 +636,19 @@ def _inertia_map(g):
 # tens of microseconds of axis bookkeeping per call, and arithmetic on Python
 # floats is faster than on numpy scalars, with the same bits.
 
-def _bias_motion(pv, pa, s, qd):
-    """v = pv + s qd and a = pa + v x (s qd), 6-tuples of floats."""
+def _bias_motion(pva, s, qd):
+    """v + a, one 12-tuple of floats, with v = pv + s qd and
+    a = pa + v x (s qd), from the parent's pva = pv + pa."""
     u0, u1, u2, u3, u4, u5 = s[0] * qd, s[1] * qd, s[2] * qd, s[3] * qd, \
         s[4] * qd, s[5] * qd
-    w0, w1, w2 = pv[0] + u0, pv[1] + u1, pv[2] + u2
-    v0, v1, v2 = pv[3] + u3, pv[4] + u4, pv[5] + u5
-    return ((w0, w1, w2, v0, v1, v2),
-            (pa[0] + w1 * u2 - w2 * u1, pa[1] + w2 * u0 - w0 * u2,
-             pa[2] + w0 * u1 - w1 * u0,
-             pa[3] + v1 * u2 - v2 * u1 + w1 * u5 - w2 * u4,
-             pa[4] + v2 * u0 - v0 * u2 + w2 * u3 - w0 * u5,
-             pa[5] + v0 * u1 - v1 * u0 + w0 * u4 - w1 * u3))
+    w0, w1, w2 = pva[0] + u0, pva[1] + u1, pva[2] + u2
+    v0, v1, v2 = pva[3] + u3, pva[4] + u4, pva[5] + u5
+    return (w0, w1, w2, v0, v1, v2,
+            pva[6] + w1 * u2 - w2 * u1, pva[7] + w2 * u0 - w0 * u2,
+            pva[8] + w0 * u1 - w1 * u0,
+            pva[9] + v1 * u2 - v2 * u1 + w1 * u5 - w2 * u4,
+            pva[10] + v2 * u0 - v0 * u2 + w2 * u3 - w0 * u5,
+            pva[11] + v0 * u1 - v1 * u0 + w0 * u4 - w1 * u3)
 
 
 def _crm_into(v, u, out):
@@ -657,6 +660,18 @@ def _crm_into(v, u, out):
               v2 * u0 - v0 * u2 + w2 * u3 - w0 * u5,
               v0 * u1 - v1 * u0 + w0 * u4 - w1 * u3)
     return out
+
+
+def _bias_wrench(va, Iva):
+    """I a + v x* I v from va = v + a and the rows [(I v)_k, (I a)_k] of
+    [I v | I a]."""
+    w0, w1, w2, v0, v1, v2 = va[:6]
+    (u0, b0), (u1, b1), (u2, b2), (u3, b3), (u4, b4), (u5, b5) = Iva
+    return (b0 + (w1 * u2 - w2 * u1 + v1 * u5 - v2 * u4),
+            b1 + (w2 * u0 - w0 * u2 + v2 * u3 - v0 * u5),
+            b2 + (w0 * u1 - w1 * u0 + v0 * u4 - v1 * u3),
+            b3 + (w1 * u5 - w2 * u4), b4 + (w2 * u3 - w0 * u5),
+            b5 + (w0 * u4 - w1 * u3))
 
 
 def _crf_add(v, u, out):
