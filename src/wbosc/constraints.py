@@ -193,7 +193,7 @@ class ConstraintSet:
         if layout != self._layout:
             self._layout = layout
             self._eye = np.eye(n)
-            self._U_eye = U.shape == (n, n) and np.array_equal(U, self._eye)
+            self._U_eye = np.array_equal(U, self._eye)
             self._blocks = []
             r = 0
             for k, count in enumerate(layout[2]):

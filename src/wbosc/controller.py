@@ -171,9 +171,9 @@ def project_levels(X, starts, frob, tol, first, free):
     ``first`` leave free, None while that is all of them (the identity,
     whose products are skipped); each level's rows X[rows_j] are projected
     onto it, and its kept right singular vectors (returned in X's basis)
-    are removed from it for the levels below.  Singular values below tol times
-    the largest are dropped; a level whose largest is below tol times that
-    of its unprojected rows is fully covered and keeps none.
+    are removed from it for the levels below.  Singular values below tol
+    times the largest are dropped; a level whose largest is below tol times
+    that of its unprojected rows is fully covered and keeps none.
     """
     out = []
     n_levels = len(starts) - 1
