@@ -3,12 +3,12 @@ import pytest
 
 from conftest import (FIXTURE_ROBOTS, assert_jacobian_close, fd_angular_jacobian,
                       fd_jacobian, random_configuration)
-
-# the fixture robots plus conftest's synthetic branched description
-ALL_ROBOTS = FIXTURE_ROBOTS + ("branched",)
 from wbosc.description import DescriptionError, load_description
 from wbosc.geometry import axis_angle_matrix, skew
 from wbosc.model import ModelError, RobotModel
+
+# the fixture robots plus conftest's synthetic branched description
+ALL_ROBOTS = FIXTURE_ROBOTS + ("branched",)
 
 
 # -- description loading --------------------------------------------------
