@@ -184,6 +184,18 @@ class RobotModel:
         self._Wc = np.zeros((n, 6, 8))
         self._FS = np.zeros((n, n))
         self._half = np.zeros((n, n))
+        # the batched products' operands as views, made once: made on every
+        # update, they cost pend1 about a sixth of its update time
+        self._coef_rows = self._coef.T[:, None, :]
+        self._TJ_rot = self._TJ[:, :, :4]
+        self._T_t = self._T.transpose(0, 2, 1)
+        self._J_w16 = self._J_w.reshape(L, 16)
+        self._W48 = self._W.reshape(L, 48)
+        self._va_cols = self._va.transpose(0, 2, 1)
+        self._Wc48 = self._Wc.reshape(n, 48)
+        self._S_rows3 = self._S[:, None, :]
+        self._F = self._rows[:, 0, :6]
+        self._S_t = self._S.T
         self._U = self._build_underactuation()
 
         # constant topology: P[body, dof] marks the DOFs on the body's root
@@ -218,7 +230,10 @@ class RobotModel:
             (i, body, body.parent if body.parent >= 0
              and moving[body.parent] else -1)
             for i, body in enumerate(self._bodies) if moving[i]]
-        self._massive = [i for i, body, _ in self._moving
+        # (index, bias column of W, [I v | I a]) of each moving body with
+        # inertia
+        self._massive = [(i, self._W[i, :, 6], self._Iva[i])
+                         for i, body, _ in self._moving
                          if body.mass or body.inertia.any()]
         self._forward_sweep([(i, body, body.parent)
                              for i, body in enumerate(self._bodies)
@@ -444,11 +459,10 @@ class RobotModel:
         """Each body's transform, S vector, world COM and block W[i] =
         [I | bias wrench | wrench that holds it against gravity], parents
         first."""
-        T, W = self._T, self._W
-        coef = self._coef
+        T, coef = self._T, self._coef
         np.sin(coef[3], out=coef[1])
         np.cos(coef[3], out=coef[2])
-        np.matmul(coef.T[:, None, :], self._basis, out=self._local)
+        np.matmul(self._coef_rows, self._basis, out=self._local)
         Ts, local = self._Ts, self._locals
         eye4, axes, vas = self._eye4, self._axes, self._vas
         S = self._S_rows
@@ -485,27 +499,22 @@ class RobotModel:
         # for every body at once: T [J_b | c; 1] gives the world COM in
         # its fifth column, and the world pseudo-inertia T J_b T' gives the
         # inertia and gravity columns of W[i] through the constant map
-        L = len(T)
-        TJ = self._TJ
-        np.matmul(T, self._J_b, out=TJ)
-        np.matmul(TJ[:, :, :4], T.transpose(0, 2, 1), out=self._J_w)
-        np.matmul(self._J_w.reshape(L, 16), self._inertia_map,
-                  out=W.reshape(L, 48))
+        np.matmul(T, self._J_b, out=self._TJ)
+        np.matmul(self._TJ_rot, self._T_t, out=self._J_w)
+        np.matmul(self._J_w16, self._inertia_map, out=self._W48)
         # the bias wrench I a + v x* I v, zero on a body without inertia
-        Iva = self._Iva
-        np.matmul(self._I_w, self._va.transpose(0, 2, 1), out=Iva)
-        for i in self._massive:
-            W[i, :, 6] = _bias_wrench(vas[i], Iva[i].tolist())
+        np.matmul(self._I_w, self._va_cols, out=self._Iva)
+        for i, bias, Iva in self._massive:
+            bias[:] = _bias_wrench(vas[i], Iva.tolist())
 
     def _backward_sweep(self):
         """Sum each DOF's subtree of blocks with the subtree mask; the DOF's
         row S_d' of that sum reads [F_d' | B_d | G_d], and A[d, e] =
         F_d' S_e for each DOF e on the root path of d's body."""
-        n, rows, FS = self.n_dofs, self._rows, self._FS
-        np.matmul(self._Desc, self._W.reshape(len(self._W), 48),
-                  out=self._Wc.reshape(n, 48))
-        np.matmul(self._S[:, None, :], self._Wc, out=rows)
-        np.matmul(rows[:, 0, :6], self._S.T, out=FS)
+        FS = self._FS
+        np.matmul(self._Desc, self._W48, out=self._Wc48)
+        np.matmul(self._S_rows3, self._Wc, out=self._rows)
+        np.matmul(self._F, self._S_t, out=FS)
         np.multiply(FS, self._half, out=FS)
         np.add(FS, FS.T, out=self.A)
 
