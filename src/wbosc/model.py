@@ -75,6 +75,11 @@ _VIRTUAL_SPECS = (
 
 
 _ZERO6 = (0.0,) * 6
+# the rotation and the translation block of a 4 x 4 transform
+_ROTATION = np.zeros((4, 4))
+_ROTATION[:3, :3] = 1.0
+_TRANSLATION = np.zeros((4, 4))
+_TRANSLATION[:3, 3] = 1.0
 _REST = (0.0,) * 12               # v and a of a body that does not move
 
 
@@ -250,35 +255,41 @@ class RobotModel:
         # DOF's local transform is its coefficients [1, sin q, cos q, q]
         # times the constant basis [origin + origin K^2, origin K,
         # -origin K^2, 0] or [origin, 0, 0, origin K]
+        moving = [b for b in self._bodies if b.dof is not None]
+        n = len(moving)
+        origin = np.array([b.origin for b in moving]).reshape(n, 4, 4)
+        a0, a1, a2 = np.array([b.axis for b in moving]).reshape(n, 3).T
+        revolute = np.array([b.jtype == "revolute" for b in moving],
+                            dtype=bool)[:, None, None]
+        z = np.zeros(n)
+        K = np.zeros((n, 4, 4))
+        K[:, :3, :3] = np.stack([z, -a2, a1, a2, z, -a0, -a1, a0, z],
+                                axis=1).reshape(n, 3, 3)
+        K[:, :3, 3] = np.stack([a0, a1, a2], axis=1)
+        K = np.where(revolute, K * _ROTATION, K * _TRANSLATION)
+        oK = origin @ K
+        oKK = -(oK @ K)               # zero for a prismatic joint
         self._basis = np.zeros((self.n_dofs, 4, 4, 4))
-        self._J_b = np.zeros((L, 4, 5))
-        self._axes = []
-        for i, body in enumerate(self._bodies):
-            self._axes.append(tuple(body.axis.tolist()))
-            if body.dof is not None:
-                b = self._basis[body.dof]
-                K = np.zeros((4, 4))
-                if body.jtype == "revolute":
-                    K[:3, :3] = skew(body.axis)
-                    b[1] = body.origin @ K
-                    b[2] = -(b[1] @ K)
-                    b[0] = body.origin - b[2]
-                else:
-                    K[:3, 3] = body.axis
-                    b[0] = body.origin
-                    b[3] = body.origin @ K
-            # pseudo-inertia about the body origin, in the body frame,
-            # [[Sigma, m c], [m c', m]] with Sigma = tr(I)/2 E - I + m c c'
-            # for the rotational inertia I about the COM; a fifth column
-            # [c; 1] carries the COM through the same product with T
-            m, c, J = body.mass, body.com, self._J_b[i]
-            J[:3, :3] = (0.5 * np.trace(body.inertia) * np.eye(3)
-                         - body.inertia + m * np.outer(c, c))
-            J[:3, 3] = J[3, :3] = m * c
-            J[3, 3] = m
-            J[:3, 4] = c
-            J[3, 4] = 1.0
+        self._basis[[b.dof for b in moving]] = np.stack(
+            [origin - oKK, np.where(revolute, oK, 0.0), oKK,
+             np.where(revolute, 0.0, oK)], axis=1)
         self._basis = self._basis.reshape(self.n_dofs, 4, 16)
+        self._axes = [tuple(b.axis.tolist()) for b in self._bodies]
+        # pseudo-inertia about the body origin, in the body frame,
+        # [[Sigma, m c], [m c', m]] with Sigma = tr(I)/2 E - I + m c c'
+        # for the rotational inertia I about the COM; a fifth column
+        # [c; 1] carries the COM through the same product with T
+        m = self._mass
+        c = np.array([b.com for b in self._bodies])
+        inertia = np.array([b.inertia for b in self._bodies])
+        J = self._J_b = np.zeros((L, 4, 5))
+        J[:, :3, :3] = (0.5 * np.trace(inertia, axis1=1, axis2=2)[:, None, None]
+                        * np.eye(3) - inertia
+                        + m[:, None, None] * (c[:, :, None] * c[:, None, :]))
+        J[:, :3, 3] = J[:, 3, :3] = m[:, None] * c
+        J[:, 3, 3] = m
+        J[:, :3, 4] = c
+        J[:, 3, 4] = 1.0
         self._inertia_map = _inertia_map(self.description.gravity)
 
     # -- construction ----------------------------------------------------
