@@ -164,9 +164,6 @@ class ConstraintSet:
     def enabled_constraints(self):
         return [c for c in self.constraints if c.enabled]
 
-    def total_constrained_dofs(self):
-        return sum(c.constrained_dof_count for c in self.enabled_constraints())
-
     # everything update fills
     UPDATED = ("J_c", "N_c", "UNcBar", "Phi", "UNcBarL")
 
@@ -193,7 +190,6 @@ class ConstraintSet:
         if layout != self._layout:
             self._layout = layout
             self._eye = np.eye(n)
-            self._U_eye = np.array_equal(U, self._eye)
             self._blocks = []
             r = 0
             for k, count in enumerate(layout[2]):
@@ -218,12 +214,8 @@ class ConstraintSet:
         # L = V_keep sqrt(w_keep) (cutoff nj eps): with AV = Ainv (U N_c)' V
         # scaled by the inverse weights, UNcBar = AV V' and UNcBar L is AV's
         # kept columns times sqrt(w)
-        if rows == 0 and self._U_eye:
-            # no constraint and no virtual DOF: U N_c is the identity
-            AiUt = self.Phi = Ainv
-        else:
-            AiUt = Ainv @ UNc.T
-            self.Phi = UNc @ AiUt
+        AiUt = Ainv @ UNc.T
+        self.Phi = UNc @ AiUt
         w, V = np.linalg.eigh(self.Phi)
         AV = (AiUt @ V) * eigh_inverse_weights(w, self.tolerance ** 2)
         self.UNcBar = AV @ V.T

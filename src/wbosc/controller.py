@@ -128,7 +128,7 @@ def ladder_forces(Jw, xdd, starts, tol, same_level):
             X = R.T
 
     tail = project_levels(X, starts, frob, tol, first,
-                          _identity(X.shape[1])[:, head:] if head else None)
+                          _identity(X.shape[1])[:, head:])
     g = np.zeros(len(xdd))
     a = 0.0             # sum over later levels of X[rows_j]' g_j
     for j in range(n_levels - 1, first - 1, -1):
@@ -168,27 +168,24 @@ def project_levels(X, starts, frob, tol, first, free):
     first..end, in a basis X with X X' = Jw Jw' (see ``ladder_forces``).
 
     ``free`` is an orthonormal basis of the directions the levels above
-    ``first`` leave free, None while that is all of them (the identity,
-    whose products are skipped); each level's rows X[rows_j] are projected
-    onto it, and its kept right singular vectors (returned in X's basis)
-    are removed from it for the levels below.  Singular values below tol
-    times the largest are dropped; a level whose largest is below tol times
-    that of its unprojected rows is fully covered and keeps none.
+    ``first`` leave free; each level's rows X[rows_j] are projected onto
+    it, and its kept right singular vectors (returned in X's basis) are
+    removed from it for the levels below.  Singular values below tol times
+    the largest are dropped; a level whose largest is below tol times that
+    of its unprojected rows is fully covered and keeps none.
     """
     out = []
     n_levels = len(starts) - 1
     for j in range(first, n_levels):
         jk = X[starts[j]:starts[j + 1]]
-        u, s, vt = np.linalg.svd(jk if free is None else jk @ free,
-                                 full_matrices=j + 1 < n_levels)
+        u, s, vt = np.linalg.svd(jk @ free, full_matrices=j + 1 < n_levels)
         s_max = s[0] if s.size else 0.0
         rank = int(np.count_nonzero(s > tol * s_max))
         if s_max < tol * frob[j] and s_max < tol * np.linalg.norm(jk, 2):
             rank = 0
-        out.append((u[:, :rank], s[:rank],
-                    vt[:rank] if free is None else vt[:rank] @ free.T))
+        out.append((u[:, :rank], s[:rank], vt[:rank] @ free.T))
         if j + 1 < n_levels:
-            free = vt[rank:].T if free is None else free @ vt[rank:].T
+            free = free @ vt[rank:].T
     return out
 
 
@@ -208,7 +205,8 @@ class _LadderRecord:
         Jw, starts = self.Jw, self.starts
         J_star = self.J @ self.UNcBar
         frob = np.sqrt(np.add.reduceat((Jw * Jw).sum(axis=1), starts[:-1]))
-        per_level = project_levels(Jw, starts, frob, self.tol, 0, None)
+        per_level = project_levels(Jw, starts, frob, self.tol, 0,
+                                   _identity(Jw.shape[1]))
         Z = np.zeros((Jw.shape[1], J_star.shape[1]))
         out = []
         for j, (u, s, vt) in enumerate(per_level):
@@ -238,7 +236,6 @@ class Wbosc:
         # gravity_mask[i] True = joint i receives no gravity compensation
         self.gravity_mask = (np.zeros(n_joints, dtype=bool) if gravity_mask is None
                              else np.asarray(gravity_mask, dtype=bool))
-        self._any_masked = bool(self.gravity_mask.any())
         self._record = None
         self._ladder = None
         self._memo_key = None       # _inputs_key of _memo_tau, or None
@@ -300,8 +297,7 @@ class Wbosc:
 
         tau = UNcBar.T @ (J.T @ g + model.B)
         grav = UNcBar.T @ model.G
-        if self._any_masked:
-            grav[self.gravity_mask] = 0.0
+        grav[self.gravity_mask] = 0.0
         tau += grav
         if internal_force_ref is not None:
             tau += constraint_set.Lstar.T @ internal_force_ref

@@ -146,8 +146,9 @@ class RobotModel:
         L = len(self._bodies)
 
         # the joint-basis coefficients [1, sin q, cos q, q] of every DOF;
-        # q_full is their last row
-        self._coef = np.ones((4, n))
+        # q_full is their last row, zero until the first update
+        self._coef = np.zeros((4, n))
+        self._coef[0] = 1.0
         self.q_full = self._coef[3]
         self.qd_full = np.zeros(n)
         self.A = np.zeros((n, n))
@@ -480,12 +481,9 @@ class RobotModel:
         qd = self.qd_full.tolist()
         for i, body, parent in bodies:
             d = body.dof
-            # np.dot, unlike np.matmul, releases the GIL: a thread waiting
-            # behind a looping update gets in within one body's product,
-            # not after the 5 ms switch interval
             Ti = Ts[i]
-            np.dot(eye4 if body.parent < 0 else Ts[body.parent],
-                   body.origin if d is None else local[d], out=Ti)
+            np.matmul(eye4 if body.parent < 0 else Ts[body.parent],
+                      body.origin if d is None else local[d], out=Ti)
             pva = _REST if parent < 0 else vas[parent]
             if d is None:
                 vas[i] = pva
@@ -525,7 +523,10 @@ class RobotModel:
         FS = self._FS
         np.matmul(self._Desc, self._W48, out=self._Wc48)
         np.matmul(self._S_rows3, self._Wc, out=self._rows)
-        np.matmul(self._F, self._S_t, out=FS)
+        # np.dot, unlike np.matmul on small operands, releases the GIL: a
+        # thread waiting behind a looping update gets in once per update,
+        # not after the 5 ms switch interval
+        np.dot(self._F, self._S_t, out=FS)
         np.multiply(FS, self._half, out=FS)
         np.add(FS, FS.T, out=self.A)
 

@@ -97,9 +97,6 @@ class SimPlant:
             col = self._independent.index(master_dof)
             E[slave_dof, col] = tr.ratio
         self._E = E
-        # with every DOF independent, E is the identity and the reduced
-        # coordinates are the full ones
-        self._E_identity = np.array_equal(E, np.eye(n))
         # constant parts of the reduced dynamics: E' U' maps the effort, and
         # each limited independent joint's (column, name, lower, upper)
         self._EtUt = E.T @ self.model.underactuation_matrix().T
@@ -138,12 +135,8 @@ class SimPlant:
         self._reconstruct()
 
     def _reconstruct(self):
-        if self._E_identity:
-            self._q_full[:] = self._q_r
-            self._qd_full[:] = self._qd_r
-        else:
-            self._q_full[:] = self._E @ self._q_r
-            self._qd_full[:] = self._E @ self._qd_r
+        self._q_full[:] = self._E @ self._q_r
+        self._qd_full[:] = self._E @ self._qd_r
 
     def state(self):
         self._reconstruct()
@@ -170,14 +163,9 @@ class SimPlant:
         """(reduced acceleration, contact nullspace basis or None) at
         (q_r, qd_r) under the current effort."""
         model = self.model
-        if self._E_identity:
-            model.update_kinematics(q_r, qd_r)
-            force = self._EtUt @ self._tau - (model.B + model.G)
-            M = model.A
-        else:
-            model.update_kinematics(self._E @ q_r, self._E @ qd_r)
-            force = self._EtUt @ self._tau - self._E.T @ (model.B + model.G)
-            M = self._E.T @ model.A @ self._E
+        model.update_kinematics(self._E @ q_r, self._E @ qd_r)
+        force = self._EtUt @ self._tau - self._E.T @ (model.B + model.G)
+        M = self._E.T @ model.A @ self._E
         Z = self._contact_nullspace()
         if Z is None:
             return np.linalg.solve(M, force), Z

@@ -502,6 +502,12 @@ def test_energy_rate_matches_power(make_model):
         q, qd = q_next, qd_next
 
 
+def test_a_new_model_reads_the_zero_configuration(descriptions):
+    model = RobotModel(descriptions["dreamer22"])
+    assert not model.q_full.any() and not model.qd_full.any()
+    assert not model.q_actual().any()
+
+
 # -- error handling ------------------------------------------------------------
 
 def test_dimension_mismatch(make_model):
