@@ -18,7 +18,7 @@ from .geometry import quat_from_matrix
 from .model import RobotModel
 from .params import ParameterRegistry
 from .plant import (FreerunSimInterface, LockstepSimInterface, NoiseSpec,
-                    SimPlant, Transmission)
+                    PlantError, SimPlant)
 from .servo import ServoModel, ServoRuntime, make_clock
 from .tasks import (CartesianPositionTask, CompoundTask, ComTask,
                     JointPositionTask, Orientation2DTask, Orientation3DTask,
@@ -267,42 +267,26 @@ class AssembledController:
         return np.zeros(n_joints)
 
     def _build_interface(self, fw, initial_q, latency_cycles, noise, seed):
-        weld = None
-        transmissions = []
-        contacts = []
-        model = self.servo_model.model
-        root = self.description.root_link_name
-        for c in self.servo_model.constraints.enabled_constraints():
-            if isinstance(c, CoactuationConstraint):
-                transmissions.append(Transmission(
-                    c.master_joint, c.slave_joint, c.transmission_ratio))
-            elif isinstance(c, PointContactConstraint):
-                contacts.append((c.link, c.point.copy()))
-            elif isinstance(c, FlatContactConstraint):
-                if c.link == root:
-                    weld = c.link
-                else:
-                    contacts.append((c.link, None))
-        if model.ordering.virtual_indices and weld is None:
-            raise AssemblyError(
-                "floating-base robot needs a flat contact constraint on the "
-                "base link (free-floating simulation is not supported)")
-        self.plant = SimPlant(self.description, weld_base=weld,
-                              transmissions=transmissions, contacts=contacts)
+        kind = fw.robot_interface_type
+        if kind == "udp-remote":
+            return _UdpRemoteInterface(self, self.servo_model.model.n_joints)
+        if kind not in ("sim-lockstep", "sim-freerun"):
+            raise AssemblyError(f"unknown robot_interface_type {kind!r}")
+        try:
+            self.plant = SimPlant(
+                self.description,
+                self.servo_model.constraints.enabled_constraints())
+        except PlantError as exc:
+            raise AssemblyError(str(exc)) from None
         self.plant.set_joint_state(initial_q)
         period = self.clock.period
-        kind = fw.robot_interface_type
         noise_spec = noise or NoiseSpec()
         if kind == "sim-lockstep":
             return LockstepSimInterface(self.plant, period,
                                         latency_cycles=latency_cycles,
                                         noise=noise_spec, seed=seed)
-        if kind == "sim-freerun":
-            return FreerunSimInterface(self.plant, period,
-                                       noise=noise_spec, seed=seed).start()
-        if kind == "udp-remote":
-            return _UdpRemoteInterface(self, model.n_joints)
-        raise AssemblyError(f"unknown robot_interface_type {kind!r}")
+        return FreerunSimInterface(self.plant, period,
+                                   noise=noise_spec, seed=seed).start()
 
     # -- lifecycle / control surface ----------------------------------------------
 

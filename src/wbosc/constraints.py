@@ -23,7 +23,7 @@ here, in the model process, rather than on every servo cycle.
 import numpy as np
 
 from .linalg import (DEFAULT_TOLERANCE, dyn_consistent_pinv,
-                     eigh_inverse_weights)
+                     eigh_inverse_weights, null_basis)
 
 _EPS = np.finfo(float).eps
 
@@ -233,12 +233,8 @@ class ConstraintSet:
 
     def motion_basis(self):
         """Orthonormal basis of null(J_c): the admissible motion directions."""
-        n = self.N_c.shape[0]
-        if self.J_c is None or self.J_c.shape[0] == 0:
-            return np.eye(n)
-        _, s, Vt = np.linalg.svd(self.J_c)
-        rank = int(np.sum(s > self.tolerance * s[0])) if s.size and s[0] > 0 else 0
-        return Vt[rank:].T
+        basis = null_basis(self.J_c, self.tolerance)
+        return np.eye(self.J_c.shape[1]) if basis is None else basis
 
 
 CONSTRAINT_TYPES = {

@@ -48,6 +48,16 @@ def eigh_inverse_weights(w, tol=DEFAULT_TOLERANCE):
     return np.array([1.0 / x if x > cut else 0.0 for x in values])
 
 
+def null_basis(M, tol):
+    """Orthonormal columns spanning null(M), with singular values at or
+    below tol times the largest counted as zero; None when M is zero or has
+    no rows, so that nothing is restricted."""
+    if not M.any():
+        return None
+    _, s, Vt = np.linalg.svd(M)
+    return Vt[int(np.sum(s > tol * s[0])):].T
+
+
 def gram_pinv(M, tol=DEFAULT_TOLERANCE):
     """Pseudo-inverse of a Gram matrix M = X W X' (symmetric PSD).
 

@@ -1,12 +1,13 @@
 """Simulated torque-controlled plant and the robot interface contract.
 
-The plant integrates the welded-base, transmission-reduced dynamics in an
-independent coordinate set: virtual DOFs are structurally frozen when the
-base is welded, and each transmission slave is slaved to ratio * master, so
-those constraints hold exactly by construction rather than by stabilization.
-Contact constraints on other links contribute configuration-dependent rows
-that are enforced by per-step projection of the reduced dynamics onto their
-nullspace.
+The plant takes the controller's constraint objects and integrates the
+constrained dynamics in an independent coordinate set: the virtual DOFs are
+structurally frozen by a flat contact on the root link, and each coactuated
+slave joint moves as ratio * master, so those constraints hold exactly by
+construction rather than by stabilization (Featherstone, Rigid Body Dynamics
+Algorithms, 2008, ch. 8).  Every other constraint contributes its
+configuration-dependent Jacobian rows, enforced by per-step projection of the
+reduced dynamics onto their nullspace.
 
 Robot interfaces expose read()/write() with an injectable cycle-count
 latency budget split across the two directions (total latency equals the
@@ -14,13 +15,17 @@ configured cycle count end to end) and optional zero-mean Gaussian sensing
 noise per channel.
 """
 
+import copy
 import threading
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from .constraints import CoactuationConstraint, FlatContactConstraint
+from .linalg import null_basis
 from .model import RobotModel, RobotState
+from .servo import MonotonicClock
 
 
 class PlantError(ValueError):
@@ -48,23 +53,15 @@ class NoiseSpec:
         return out
 
 
-@dataclass
-class Transmission:
-    master: str
-    slave: str
-    ratio: float = 1.0
-
-
 class SimPlant:
-    """Reduced-coordinate forward dynamics of the simulated robot."""
+    """Reduced-coordinate forward dynamics of the simulated robot under
+    copies of the given constraints, taken when the plant is built."""
 
-    def __init__(self, description, weld_base=None, transmissions=(),
-                 contacts=(), integrator="semi_implicit", enforce_limits=True):
+    def __init__(self, description, constraints=(),
+                 integrator="semi_implicit", enforce_limits=True):
         self.model = RobotModel(description)
         self.description = description
-        self.weld_base = weld_base
-        self.transmissions = list(transmissions)
-        self.contacts = list(contacts)   # (link, point or None) pairs
+        self.constraints = copy.deepcopy(list(constraints))
         if integrator not in ("semi_implicit", "rk4"):
             raise PlantError(f"unknown integrator {integrator!r}")
         self.integrator = integrator
@@ -74,28 +71,40 @@ class SimPlant:
 
         n = self.model.n_dofs
         names = self.model.ordering.real_joint_names
-        slave_of = {}
-        for tr in self.transmissions:
-            if tr.master not in names or tr.slave not in names:
-                raise PlantError("transmission joints must be real joints")
-            slave_of[tr.slave] = tr
+        welded = False
+        self._coactuated = []      # eliminated through E
+        self._projected = []       # enforced by the per-step projection
+        for c in self.constraints:
+            if isinstance(c, FlatContactConstraint) \
+                    and c.link == description.root_link_name:
+                welded = True
+            elif isinstance(c, CoactuationConstraint):
+                if c.master_joint not in names or c.slave_joint not in names:
+                    raise PlantError(
+                        f"{c.name!r}: coactuated joints must be real joints")
+                self._coactuated.append(c)
+            else:
+                self._projected.append(c)
+        if self.model.ordering.virtual_indices and not welded:
+            raise PlantError(
+                "floating-base robot needs a flat contact constraint on the "
+                "base link (free-floating simulation is not supported)")
+        slaves = {c.slave_joint for c in self._coactuated}
 
-        # columns of E span the independent coordinates; slaved and welded
-        # DOFs are linear in them, so E is constant and the structural
-        # constraints hold to machine precision at every step
-        self._independent = ([] if weld_base is not None
-                             else list(self.model.ordering.virtual_indices))
-        for name in names:
-            if name not in slave_of:
-                self._independent.append(self.model.joint_dof_index(name))
+        # columns of E span the independent coordinates, the real joints that
+        # are no slave; slaved and welded DOFs are linear in them, so E is
+        # constant and the structural constraints hold to machine precision
+        # at every step
+        self._independent = [self.model.joint_dof_index(name)
+                             for name in names if name not in slaves]
         E = np.zeros((n, len(self._independent)))
         for col, dof in enumerate(self._independent):
             E[dof, col] = 1.0
-        for tr in self.transmissions:
-            slave_dof = self.model.joint_dof_index(tr.slave)
-            master_dof = self.model.joint_dof_index(tr.master)
+        for c in self._coactuated:
+            slave_dof = self.model.joint_dof_index(c.slave_joint)
+            master_dof = self.model.joint_dof_index(c.master_joint)
             col = self._independent.index(master_dof)
-            E[slave_dof, col] = tr.ratio
+            E[slave_dof, col] = c.transmission_ratio
         self._E = E
         # constant parts of the reduced dynamics: E' U' maps the effort, and
         # each limited independent joint's (column, name, lower, upper)
@@ -103,8 +112,6 @@ class SimPlant:
         virtual = len(self.model.ordering.virtual_indices)
         self._limited = []
         for col, dof in enumerate(self._independent):
-            if dof < virtual:
-                continue
             joint = description.joint(names[dof - virtual])
             if joint.position_limits is not None:
                 lo, hi = joint.position_limits
@@ -124,12 +131,11 @@ class SimPlant:
         qd_act = np.zeros_like(q_act) if qd_act is None else np.asarray(qd_act, dtype=float)
         q_full = self.model.full_from_actual(q_act)
         qd_full = self.model.full_from_actual(qd_act)
-        for tr in self.transmissions:
-            s = self.model.joint_dof_index(tr.slave)
-            m = self.model.joint_dof_index(tr.master)
-            if abs(q_full[s] - tr.ratio * q_full[m]) > 1e-9:
-                raise PlantError(
-                    f"initial state violates transmission {tr.slave!r}")
+        for c in self._coactuated:
+            s = self.model.joint_dof_index(c.slave_joint)
+            m = self.model.joint_dof_index(c.master_joint)
+            if abs(q_full[s] - c.transmission_ratio * q_full[m]) > 1e-9:
+                raise PlantError(f"initial state violates {c.name!r}")
         self._q_r[:] = q_full[self._independent]
         self._qd_r[:] = qd_full[self._independent]
         self._reconstruct()
@@ -174,20 +180,10 @@ class SimPlant:
         return Z @ np.linalg.solve(Z.T @ M @ Z, Z.T @ force), Z
 
     def _contact_nullspace(self):
-        if not self.contacts:
+        if not self._projected:
             return None
-        rows = []
-        for link, point in self.contacts:
-            if point is None:
-                rows.append(self.model.spatial_jacobian(link) @ self._E)
-            else:
-                rows.append(self.model.point_jacobian(link, point) @ self._E)
-        Jr = np.vstack(rows)
-        if not Jr.any():
-            return None
-        _, s, Vt = np.linalg.svd(Jr)
-        rank = int(np.sum(s > 1e-10 * s[0])) if s[0] > 0 else 0
-        return Vt[rank:].T
+        return null_basis(np.vstack([c.jacobian(self.model) @ self._E
+                                     for c in self._projected]), 1e-10)
 
     def step(self, effort, dt):
         """Advance the plant by dt under the given actuated effort command."""
@@ -265,7 +261,6 @@ class LockstepSimInterface(RobotInterface):
                                     maxlen=self.command_delay + 1)
         self._state_queue = deque(maxlen=self.sense_delay + 1)
         self._state_queue.append(plant.state())
-        self._last_effort = hold
 
     def read(self):
         state = self._state_queue[0]
@@ -278,21 +273,22 @@ class LockstepSimInterface(RobotInterface):
             applied = self._command_queue.popleft()
         else:
             applied = command.effort
-        self._last_effort = applied
         state = self.plant.step(applied, self.period)
         state.effort[:] = applied
         self._state_queue.append(state)
-        while len(self._state_queue) > self.sense_delay + 1:
-            self._state_queue.popleft()
 
 
 class FreerunSimInterface(RobotInterface):
     """Plant running in its own thread with a bounded command mailbox; the
-    servo side never blocks on it."""
+    servo side never blocks on it.  The thread steps on absolute deadlines
+    (a MonotonicClock), so plant time follows wall time; a step that ends
+    past its deadline is counted in ``overruns`` and the deadlines restart
+    from then."""
 
     def __init__(self, plant, plant_period, noise=None, seed=0):
         self.plant = plant
         self.period = plant_period
+        self._clock = MonotonicClock(1.0 / plant_period)
         self.noise = noise or NoiseSpec()
         self._rng = np.random.default_rng(seed)
         self._command = plant.state().effort.copy()
@@ -313,15 +309,18 @@ class FreerunSimInterface(RobotInterface):
         if self._thread.is_alive():
             self._thread.join(timeout=2.0)
 
+    @property
+    def overruns(self):
+        return self._clock.overruns
+
     def _run(self):
-        import time as _time
         while not self._stop.is_set():
+            self._clock.tick()
             with self._command_lock:
                 effort = self._command.copy()
             state = self.plant.step(effort, self.period)
             with self._state_lock:
                 self._state = state
-            _time.sleep(self.period)
 
     def read(self):
         if self._state_lock.acquire(blocking=False):

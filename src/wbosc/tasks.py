@@ -441,10 +441,6 @@ class TaskStack:
             self.command[r0:r1] = state.command
         return self
 
-    def level_rows(self, level):
-        i = self.levels.index(level)
-        return slice(int(self.starts[i]), int(self.starts[i + 1]))
-
 
 class CompoundTask:
     """Prioritized task list; lower priority number = higher priority."""
@@ -473,10 +469,6 @@ class CompoundTask:
     def tasks(self):
         return [e.task for e in self.entries]
 
-    def levels(self):
-        """Priority levels that currently hold at least one enabled task."""
-        return sorted({e.priority for e in self.entries if e.task.enabled})
-
     def stack(self):
         """The enabled tasks' active (jacobian, command) stacked once for the
         whole ladder; None when no task is enabled.  The stack layout is
@@ -489,15 +481,6 @@ class CompoundTask:
                 return None
             layout = self._stacks[key] = TaskStack(enabled)
         return layout.fill()
-
-    def aggregate_level(self, level):
-        """Row-stacked (jacobian, command) of the enabled tasks at a level,
-        in declaration order; None when the level is empty (skipped)."""
-        stack = self.stack()
-        if stack is None or level not in stack.levels:
-            return None
-        rows = stack.level_rows(level)
-        return stack.jacobian[rows], stack.command[rows]
 
 
 def _vector3(value, label):

@@ -103,7 +103,7 @@ def test_apply_reconfiguration_actions():
         actions = spec_diff(old, load_config(new_text))
         ctl.apply_actions(actions)
         assert not ctl.tasks["posture"].enabled
-        assert ctl.compound.levels() == [0]
+        assert ctl.compound.stack().levels == (0,)
         ctl.run(cycles=2)   # still runs with the remaining level
 
 
@@ -134,6 +134,7 @@ def test_udp_remote_interface_round_trip():
     description = load_description(fixtures.read_robot("pend1"))
     ctl = AssembledController(description, spec, single_threaded=True,
                               udp_port=0)
+    assert ctl.plant is None   # the external process is the plant
     commands = []
     client = UdpTransport(default_peer=("127.0.0.1", ctl.udp.port))
     client.register_input("robot/command", commands.append)
@@ -277,7 +278,6 @@ def test_wrong_length_limit_list_rejected_at_build(line, key):
 def test_plant_holds_the_enabled_constraints_of_the_config():
     from wbosc.assembly import AssembledController
     from wbosc.description import load_description
-    from wbosc.plant import Transmission
     # torso_upper_pitch = 2 * torso_lower_pitch satisfies the ratio-2 drive
     spec = load_config("""
 tasks:
@@ -304,13 +304,34 @@ constraint_set:
     description = load_description(fixtures.read_robot("dreamer22"))
     with AssembledController(description, spec, single_threaded=True) as ctl:
         plant = ctl.plant
-        assert plant.weld_base == "torso_base"
-        assert plant.transmissions == [
-            Transmission("torso_lower_pitch", "torso_upper_pitch", 2.0)]
-        assert [link for link, _ in plant.contacts] == ["left_hand",
-                                                        "right_hand"]
-        assert plant.contacts[0][1] is None
-        np.testing.assert_array_equal(plant.contacts[1][1], [0.0, 0.01, -0.08])
+        assert [c.name for c in plant.constraints] == [
+            "baseWeld", "leftHandFlat", "rightHandPoint", "torsoTransmission"]
+        transmission = plant.constraints[-1]
+        assert transmission.transmission_ratio == 2.0
+        np.testing.assert_array_equal(plant.constraints[2].point,
+                                      [0.0, 0.01, -0.08])
+        # the plant holds copies: a runtime change to the controller's
+        # parameters does not reach the simulated robot
+        ctl.registry.require("torsoTransmission.transmissionRatio").set(3.0)
+        assert ctl.servo_model.constraints.constraint(
+            "torsoTransmission").transmission_ratio == 3.0
+        assert transmission.transmission_ratio == 2.0
+
+
+def test_floating_base_without_weld_is_refused_in_simulation():
+    from wbosc.assembly import AssembledController, AssemblyError
+    from wbosc.description import load_description
+    text = fixtures.read_config("dreamer22_disassembly")
+    enabled = ("  - name: baseWeld\n    type: FlatContactConstraint\n"
+               "    operational_state: enable")
+    assert enabled in text
+    spec = load_config(text.replace(enabled, enabled.replace("enable",
+                                                             "disable")))
+    assert spec.framework.robot_interface_type == "sim-lockstep"
+    description = load_description(fixtures.read_robot("dreamer22"))
+    with pytest.raises(AssemblyError,
+                       match=r"free-floating simulation is not supported"):
+        AssembledController(description, spec, single_threaded=True)
 
 
 # A config goal is checked when the controller is built, as the same goal

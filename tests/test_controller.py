@@ -155,8 +155,10 @@ def reference_ladder(model, cset, compound, tol=DEFAULT_TOLERANCE):
     P = eye.copy()
     tau = cset.UNcBar.T @ (model.B + model.G)
     ladder = []
-    for level in compound.levels():
-        J, xdd = compound.aggregate_level(level)
+    stack = compound.stack()
+    for i, level in enumerate(stack.levels):
+        rows = slice(stack.starts[i], stack.starts[i + 1])
+        J, xdd = stack.jacobian[rows], stack.command[rows]
         J_star = J @ cset.UNcBar
         J_proj = J_star @ P
         gram = J_proj @ Phi @ J_proj.T

@@ -1,10 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 
+from wbosc.constraints import (CoactuationConstraint, FlatContactConstraint,
+                               PointContactConstraint)
 from wbosc.controller import Command
 from wbosc.description import RobotDescription
 from wbosc.plant import (FreerunSimInterface, LockstepSimInterface, NoiseSpec,
-                         PlantError, SimPlant, Transmission)
+                         PlantError, SimPlant)
 
 DT = 1e-3
 
@@ -14,10 +18,10 @@ def make_plant(descriptions, name, **kwargs):
 
 
 def dreamer_plant(descriptions, **kwargs):
-    return SimPlant(descriptions["dreamer22"], weld_base="torso_base",
-                    transmissions=[Transmission("torso_lower_pitch",
-                                                "torso_upper_pitch", 1.0)],
-                    **kwargs)
+    return SimPlant(descriptions["dreamer22"], [
+        FlatContactConstraint("baseWeld", "torso_base"),
+        CoactuationConstraint("torsoTransmission", "torso_lower_pitch",
+                              "torso_upper_pitch", 1.0)], **kwargs)
 
 
 def test_pend1_gravity_hold(descriptions):
@@ -42,7 +46,7 @@ def test_zero_torque_zero_gravity_constant_state(descriptions):
 
 
 def test_kinetic_energy_conservation_rk4(descriptions):
-    # short horizon here; the acceptance suite runs the full 10 s window
+    # a 2 s horizon: energy drift under RK4 grows with it
     desc = descriptions["planar2"]
     zerog = RobotDescription(desc.name, (0.0, 0.0, 0.0), desc.links, desc.joints)
     plant = SimPlant(zerog, integrator="rk4", enforce_limits=False)
@@ -76,8 +80,8 @@ def test_welded_base_never_moves(descriptions):
 
 
 def test_point_contact_enforced_in_simulation(descriptions):
-    plant = SimPlant(descriptions["planar2"],
-                     contacts=[("lower", np.array([0.5, 0.0, 0.0]))])
+    plant = SimPlant(descriptions["planar2"], [
+        PointContactConstraint("tip", "lower", [0.5, 0.0, 0.0])])
     plant.set_joint_state([0.4, -0.8], [0.0, 0.0])
     for k in range(200):
         plant.step(np.array([3.0 * np.sin(0.05 * k), -2.0]), DT)
@@ -154,3 +158,18 @@ def test_sensing_noise_statistics(descriptions, interface, channel):
                         for _ in range(10000)])
     assert abs(samples.std() - 0.001) / 0.001 < 0.1
     assert abs(samples.mean()) < 1e-4
+
+
+def test_freerun_plant_time_follows_wall_time(descriptions):
+    # the plant thread steps on absolute deadlines, so plant time keeps up
+    # with wall time
+    plant = make_plant(descriptions, "pend1")
+    iface = FreerunSimInterface(plant, DT)
+    start = time.monotonic()
+    iface.start()
+    try:
+        time.sleep(0.5)
+    finally:
+        iface.stop()
+    elapsed = time.monotonic() - start
+    assert plant.time >= 0.95 * elapsed, (plant.time, elapsed)

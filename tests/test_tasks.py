@@ -254,19 +254,27 @@ def update_all(compound, model, dt=DT):
         updated(task, model, dt)
 
 
+def level_block(compound, level):
+    """The stacked (jacobian, command) rows of one priority level."""
+    stack = compound.stack()
+    i = stack.levels.index(level)
+    rows = slice(stack.starts[i], stack.starts[i + 1])
+    return stack.jacobian[rows], stack.command[rows]
+
+
 def test_aggregate_shapes(make_model):
     model = make_model("dreamer22")
     compound = build_disassembly_compound(model, "2d")
     update_all(compound, model)
-    J, x = compound.aggregate_level(0)
+    J, x = level_block(compound, 0)
     assert J.shape == (10, 22)
     assert x.shape == (10,)
-    J1, _ = compound.aggregate_level(1)
+    J1, _ = level_block(compound, 1)
     assert J1.shape == (16, 22)
 
     compound3d = build_disassembly_compound(model, "3d")
     update_all(compound3d, model)
-    J, x = compound3d.aggregate_level(0)
+    J, x = level_block(compound3d, 0)
     assert J.shape == (12, 22)
 
 
@@ -276,7 +284,7 @@ def test_aggregate_skips_disabled(make_model):
     update_all(compound, model)
     compound.task("leftHandPosition").enabled = False
     compound.task("leftHandOrientation").enabled = False
-    J, _ = compound.aggregate_level(0)
+    J, _ = level_block(compound, 0)
     assert J.shape == (5, 22)
 
 
@@ -284,20 +292,18 @@ def test_empty_level_signaled(make_model):
     model = make_model("dreamer22")
     compound = build_disassembly_compound(model, "2d")
     update_all(compound, model)
-    assert compound.aggregate_level(7) is None
     for name in ("rightHandPosition", "leftHandPosition",
                  "rightHandOrientation", "leftHandOrientation"):
         compound.task(name).enabled = False
-    assert compound.aggregate_level(0) is None
-    assert compound.levels() == [1]
+    assert compound.stack().levels == (1,)
 
 
 def test_row_count_matches_enabled_dimensions(make_model):
     model = make_model("dreamer22")
     compound = build_disassembly_compound(model, "2d")
     update_all(compound, model)
-    for level in compound.levels():
-        J, x = compound.aggregate_level(level)
+    for level in compound.stack().levels:
+        J, x = level_block(compound, level)
         expected = sum(e.task.dimension for e in compound.entries
                        if e.priority == level and e.task.enabled)
         assert J.shape[0] == expected == x.shape[0]
