@@ -15,7 +15,7 @@ from .constraints import (CoactuationConstraint, ConstraintSet,
 from .controller import CONTROLLER_TYPES, JointLimits, LimitFlags
 from .description import load_description_file
 from .geometry import quat_from_matrix
-from .model import RobotModel
+from .model import RobotModel, RobotState
 from .params import ParameterRegistry
 from .plant import (FreerunSimInterface, LockstepSimInterface, NoiseSpec,
                     PlantError, SimPlant)
@@ -133,7 +133,7 @@ class AssembledController:
     def __init__(self, description, spec, *, latency_cycles=0, noise=None,
                  seed=0, clock=None, interface=None, udp_port=None,
                  log_dir=None, single_threaded=None, hooks=None,
-                 history=2048, initial_posture=None):
+                 history=2048):
         self.spec = spec
         fw = spec.framework
         self.name = fw.name
@@ -159,9 +159,6 @@ class AssembledController:
         self.servo_model = ServoModel(model, ConstraintSet(constraints))
 
         posture_goal = self._posture_goal(spec, model.n_joints)
-        if initial_posture is not None:
-            posture_goal = np.asarray(initial_posture, dtype=float)
-        self._initial_posture = posture_goal
         model.update_kinematics(model.full_from_actual(posture_goal),
                                 np.zeros(model.n_dofs))
         self.servo_model.constraints.update(model)
@@ -411,7 +408,6 @@ class _UdpRemoteInterface:
     send would block or fails is counted in ``dropped``."""
 
     def __init__(self, assembled, n_joints):
-        from .model import RobotState
         self.assembled = assembled
         self.n_joints = n_joints
         self._state = RobotState(0.0, np.zeros(n_joints), np.zeros(n_joints),
@@ -426,7 +422,6 @@ class _UdpRemoteInterface:
         n = self.n_joints
         if len(vec) != 1 + 3 * n:
             return
-        from .model import RobotState
         self._state = RobotState(float(vec[0]), vec[1:1 + n].copy(),
                                  vec[1 + n:1 + 2 * n].copy(),
                                  vec[1 + 2 * n:].copy())

@@ -16,6 +16,7 @@ configuration are dangerous.  Event expressions are compiled eagerly so a
 bad expression fails the load, not the servo loop.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -204,6 +205,15 @@ def _as_mapping(d, where):
     return d
 
 
+def _number(value, where):
+    """``value`` as a float; anything but a finite int or float, a YAML
+    bool or string included, is a ConfigError naming ``where``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def _require(d, key, where):
     if key not in d:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -333,7 +343,7 @@ def _parse_framework(d, warnings):
     if "name" in d:
         fw.name = str(d["name"])
     if "servo_frequency" in d:
-        freq = float(d["servo_frequency"])
+        freq = _number(d["servo_frequency"], "controlit: servo_frequency")
         if freq <= 0:
             raise ConfigError("controlit: servo_frequency must be positive")
         fw.servo_frequency = freq
@@ -350,7 +360,8 @@ def _parse_framework(d, warnings):
         g = d["world_gravity"]
         if not isinstance(g, (list, tuple)) or len(g) != 3:
             raise ConfigError("controlit: world_gravity must be a 3-vector")
-        fw.world_gravity = tuple(float(x) for x in g)
+        fw.world_gravity = tuple(_number(x, "controlit: world_gravity")
+                                 for x in g)
     if "gravity_compensation_mask" in d:
         mask = d["gravity_compensation_mask"]
         if not isinstance(mask, (list, tuple)) \
@@ -369,15 +380,13 @@ def _parse_framework(d, warnings):
                 raise ConfigError(
                     f"controlit: {key} must be a boolean or list of booleans")
             setattr(fw, key, value)
-    if "max_effort_command" in d and d["max_effort_command"] is not None:
+    if d.get("max_effort_command") is not None:
         value = d["max_effort_command"]
-        if isinstance(value, (int, float)):
-            fw.max_effort_command = float(value)
-        elif isinstance(value, list):
-            fw.max_effort_command = [float(x) for x in value]
+        where = "controlit: max_effort_command"
+        if isinstance(value, list):
+            fw.max_effort_command = [_number(x, where) for x in value]
         else:
-            raise ConfigError(
-                "controlit: max_effort_command must be a number or list")
+            fw.max_effort_command = _number(value, where)
     if "whole_body_controller_type" in d:
         value = d["whole_body_controller_type"]
         if value not in CONTROLLER_TYPES:

@@ -249,11 +249,13 @@ class Wbosc:
             self._ladder = [] if self._record is None else self._record.build()
         return self._ladder
 
-    def compute(self, model, constraint_set, compound, robot_state,
+    def compute(self, model, constraint_set, compound, robot_state, dt=None,
                 internal_force_ref=None):
         """The command for the active task states.  The effort is reused
         while its inputs keep their versions (see ``_inputs_key``); a call
-        with an internal-force reference always recomputes it."""
+        with an internal-force reference always recomputes it.  ``dt``, the
+        servo period, is unused here: every controller takes it, and
+        WboscImpedance integrates over it."""
         key = None if internal_force_ref is not None \
             else self._inputs_key(model, constraint_set, compound)
         if key is not None and key == self._memo_key:
@@ -338,12 +340,12 @@ class WboscImpedance(Wbosc):
         self._qi = None
         self._qdi = None
 
-    def compute(self, model, constraint_set, compound, robot_state,
-                internal_force_ref=None, dt=None):
+    def compute(self, model, constraint_set, compound, robot_state, dt=None,
+                internal_force_ref=None):
         if dt is None or dt <= 0.0:
             raise CommandError("impedance controller requires dt > 0")
         cmd = super().compute(model, constraint_set, compound, robot_state,
-                              internal_force_ref)
+                              dt, internal_force_ref)
         if self._qi is None:
             self._qi = np.array(robot_state.position, dtype=float)
             self._qdi = np.array(robot_state.velocity, dtype=float)

@@ -30,7 +30,6 @@ class ParameterKind(enum.Enum):
     SCALAR = "scalar"
     VECTOR = "vector"
     BOOLEAN = "boolean"
-    STRING = "string"
 
 
 def _coerce(kind, value):
@@ -54,10 +53,6 @@ def _coerce(kind, value):
         if isinstance(value, (int, float)) and value in (0, 1):
             return bool(value)
         raise ParameterError(f"expected a boolean, got {value!r}")
-    if kind is ParameterKind.STRING:
-        if not isinstance(value, str):
-            raise ParameterError(f"expected a string, got {value!r}")
-        return value
     raise ParameterError(f"unknown kind {kind!r}")
 
 
@@ -70,11 +65,10 @@ class Parameter:
     events of ``registry``, the declaring ParameterRegistry, due.
     """
 
-    def __init__(self, registry, name, kind, initial, readable=True,
-                 writable=True, setter=None):
+    def __init__(self, registry, name, kind, initial, writable=True,
+                 setter=None):
         self.name = name
         self.kind = kind
-        self.readable = readable
         self.writable = writable
         self._setter = setter
         self._registry = registry
@@ -95,10 +89,6 @@ class Parameter:
         self._registry.events_due = True
         for binding in self.output_bindings:
             binding.offer(value)
-
-    def scalar_view(self):
-        """Value as used by the expression evaluator."""
-        return self._value
 
 
 class Event:
@@ -135,13 +125,12 @@ class ParameterRegistry:
 
     # -- declaration and lookup ------------------------------------------
 
-    def declare(self, owner, name, kind, initial, readable=True, writable=True,
+    def declare(self, owner, name, kind, initial, writable=True,
                 setter=None):
         full = f"{owner}.{name}" if owner else name
         if full in self._params:
             raise ParameterError(f"duplicate parameter {full!r}")
-        param = Parameter(self, full, kind, initial, readable, writable,
-                          setter)
+        param = Parameter(self, full, kind, initial, writable, setter)
         self._params[full] = param
         return param
 
@@ -165,7 +154,7 @@ class ParameterRegistry:
         param = self._params.get(name)
         if param is None:
             raise KeyError(name)
-        return param.scalar_view()
+        return param.value
 
     # -- transport staging -------------------------------------------------
 

@@ -31,7 +31,15 @@ One servo cycle: apply staged inputs, read robot state, check for a whole
 reply (copy it in), stage joint state for the child when no request is in
 flight, run the task goal halves when due, compute the command, emit
 events (evaluated after a parameter write, and a failing one every cycle),
-write, publish diagnostics (while they have a subscriber).
+write, publish diagnostics (while they have a subscriber), publish the
+cycle's record.
+
+Each cycle ends by building one new ``CycleResult`` (its number, start time,
+state, command, model latency and flags) and publishing it with one
+assignment to ``last_result``; nothing changes a record after that, so a
+reader on any thread (``snapshot``) sees one whole cycle with no lock.  Its
+wall and CPU timings go into one row of a preallocated array, the window
+``phase_stats`` reads.
 
 A task's goal half (error, PID command, the ``error`` parameter) runs on the
 servo thread, for an enabled task whose state is fresh (``TaskState``) or
@@ -81,15 +89,18 @@ import pickle
 import select
 import signal
 import struct
-import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .controller import CommandError, WboscImpedance, enforce_limits
+from .controller import CommandError, enforce_limits
 
 PHASES = ("read", "update_model", "compute_command", "emit_events", "write")
+# the columns of a cycle's timing row: the phases' wall times, the whole
+# cycle's, and the servo thread's CPU time in the compute phase
+TIMINGS = PHASES + ("total", "compute_command_cpu")
 # published under <name>/diagnostics/, in this order, every cycle while one
 # of them has a subscriber; the command is left out on a suppressed cycle
 CYCLE_DIAGNOSTICS = ("servoFrequency", "servoComputeLatency", "modelLatency",
@@ -345,13 +356,18 @@ def _serve_model(conn, parent_end, servo_model, before_round):
 
 # -- coordinator -------------------------------------------------------------------
 
-@dataclass
-class CycleResult:
-    cycle: int = 0
-    command: object = None
-    suppressed: bool = False
-    model_swapped: bool = False
-    goals_updated: bool = False
+class CycleResult(NamedTuple):
+    """One finished servo cycle.  A cycle builds a new one, so a record
+    never changes once ``servo_update`` has returned it."""
+
+    cycle: int
+    time: float             # the clock's time at the cycle's start
+    state: object           # the RobotState read
+    command: object         # None on a suppressed cycle
+    model_latency: float    # time since the model copy was last updated
+    suppressed: bool
+    model_swapped: bool
+    goals_updated: bool
 
 
 class ServoRuntime:
@@ -390,16 +406,10 @@ class ServoRuntime:
         self._initialized = False
         self._last_command = None
         self._limit_verdict = None  # _check_limits of the last effort
-        self._prev_cycle_start = None
         self.last_model_swap_time = 0.0
-        self.last_result = CycleResult()
-        n = len(PHASES)
-        self._history_len = history
-        self._phase_history = np.zeros((n, history))
-        self._compute_cpu = np.zeros(history)     # servo-thread CPU time
-        self._cycle_latency = np.zeros(history)
-        self._snapshot_lock = threading.Lock()
-        self._snapshot = {}
+        self.last_result = None     # the last cycle's CycleResult
+        # one TIMINGS row per cycle, cycle k in row k % history
+        self._timings = np.zeros((history, len(TIMINGS)))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -514,35 +524,29 @@ class ServoRuntime:
         state = self.interface.read()
         t_read = time.perf_counter() - t0
 
-        result = self.last_result
-        result.cycle = self.cycle_count
-        result.suppressed = False
-        result.model_swapped = False
-        result.goals_updated = False
-
         t0 = time.perf_counter()
+        model_swapped = False
         if self.single_threaded:
             # the model and the task state halves, inline
             self.active.update(state.position, state.velocity, now)
             self.last_model_swap_time = now
         else:
-            result.model_swapped = self.check_for_updates()
+            model_swapped = self.check_for_updates()
             self._stage_model_update(state)
         t_model = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         c0 = time.thread_time()
         command = None
+        goals_updated = False
         try:
-            result.goals_updated = self._update_goals()
+            goals_updated = self._update_goals()
             command = self._compute_command(state)
         except CommandError as exc:
             self.stats.suppressed_commands += 1
-            result.suppressed = True
             self.publish("diagnostics/errors", str(exc))
         t_compute = time.perf_counter() - t0
-        self._compute_cpu[self.cycle_count % self._history_len] = \
-            time.thread_time() - c0
+        cpu_compute = time.thread_time() - c0
 
         t0 = time.perf_counter()
         for event_name in self.registry.emit_events(warn=self._warn):
@@ -558,18 +562,21 @@ class ServoRuntime:
             self.interface.write(self._last_command)
         t_write = time.perf_counter() - t0
 
-        result.command = command
-        self._record_cycle(t_cycle, t_read, t_model, t_compute, t_events,
-                           t_write, now, state, command)
+        total = time.perf_counter() - t_cycle
+        self._timings[self.cycle_count % len(self._timings)] = (
+            t_read, t_model, t_compute, t_events, t_write, total, cpu_compute)
+        result = CycleResult(self.cycle_count, now, state, command,
+                             now - self.last_model_swap_time, command is None,
+                             model_swapped, goals_updated)
+        if self._diagnostics.subscribed:
+            self._publish_diagnostics(result, total)
+        self.last_result = result
         self.cycle_count += 1
         return result
 
     def _compute_command(self, state):
-        kwargs = {}
-        if isinstance(self.wbc, WboscImpedance):
-            kwargs["dt"] = self.period
         command = self.wbc.compute(self.active.model, self.active.constraints,
-                                   self.compound, state, **kwargs)
+                                   self.compound, state, self.period)
         verdict = self._limit_verdict
         if verdict is None or verdict[0] != self.wbc.effort_version:
             verdict = self._check_limits(command)
@@ -599,45 +606,32 @@ class ServoRuntime:
             self._limit_verdict = verdict
         return verdict
 
-    def _record_cycle(self, t_cycle, t_read, t_model, t_compute, t_events,
-                      t_write, now, state, command):
-        idx = self.cycle_count % self._history_len
-        total = time.perf_counter() - t_cycle
-        for row, value in enumerate((t_read, t_model, t_compute, t_events,
-                                     t_write)):
-            self._phase_history[row, idx] = value
-        self._cycle_latency[idx] = total
-        previous, self._prev_cycle_start = self._prev_cycle_start, now
-
-        model_latency = now - self.last_model_swap_time
-        if self._diagnostics.subscribed:
-            # one queue entry for the cycle's diagnostics
-            frequency = 0.0
-            if previous is not None and now > previous:
-                frequency = 1.0 / (now - previous)
-            values = (frequency, total, model_latency,
-                      self.active.model.G.copy(), state.position.copy())
-            topics = self._diagnostics_topics
-            if command is not None:
-                values += (command.effort.copy(),)
-            else:
-                topics = topics[:-1]
-            self._publish(topics, values)
-        if self._snapshot_lock.acquire(blocking=False):
-            try:
-                self._snapshot = {
-                    "cycle": self.cycle_count,
-                    "state": state,
-                    "command": command,
-                    "model_latency": model_latency,
-                }
-            finally:
-                self._snapshot_lock.release()
+    def _publish_diagnostics(self, result, total):
+        """The cycle's diagnostics as one queue entry; the servo frequency
+        is taken against the previous record's start time."""
+        previous = self.last_result
+        frequency = 0.0
+        if previous is not None and result.time > previous.time:
+            frequency = 1.0 / (result.time - previous.time)
+        values = (frequency, total, result.model_latency,
+                  self.active.model.G.copy(), result.state.position.copy())
+        topics = self._diagnostics_topics
+        if result.command is not None:
+            values += (result.command.effort.copy(),)
+        else:
+            topics = topics[:-1]
+        self._publish(topics, values)
 
     def snapshot(self):
-        """Most recent completed cycle, for out-of-context introspection."""
-        with self._snapshot_lock:
-            return dict(self._snapshot)
+        """Most recent completed cycle, for out-of-context introspection:
+        read from one record, so from a single cycle on any thread; {}
+        before the first cycle."""
+        result = self.last_result
+        if result is None:
+            return {}
+        return {"cycle": result.cycle, "state": result.state,
+                "command": result.command,
+                "model_latency": result.model_latency}
 
     def publish(self, topic, value):
         self._publish((f"{self.name}/{topic}",), (value,))
@@ -677,14 +671,14 @@ class ServoRuntime:
         "compute_command_cpu": the servo thread's own CPU time
         (time.thread_time) in the compute phase, which excludes time spent
         waiting for the GIL while another thread holds it."""
-        n = min(self.cycle_count, self._history_len)
+        history = len(self._timings)
+        n = min(self.cycle_count, history)
         if last_n is not None:
             n = min(n, last_n)
         if n == 0:
             return {}
-        idx = [(self.cycle_count - 1 - k) % self._history_len for k in range(n)]
-        windows = dict(zip(PHASES, self._phase_history[:, idx]))
-        windows["total"] = self._cycle_latency[idx]
-        windows["compute_command_cpu"] = self._compute_cpu[idx]
-        return {name: (float(np.median(w)), float(np.percentile(w, 99)))
-                for name, w in windows.items()}
+        rows = self._timings[np.arange(self.cycle_count - n,
+                                       self.cycle_count) % history]
+        return {name: (float(median), float(p99)) for name, median, p99 in
+                zip(TIMINGS, np.median(rows, axis=0),
+                    np.percentile(rows, 99, axis=0))}

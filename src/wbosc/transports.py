@@ -18,12 +18,13 @@ diagnostics, whose subscribers and file writes can block, go through a
 bounded queue drained by a publisher worker thread; on overflow the oldest
 entry is dropped and counted, and so is a dropped output-binding value, on
 its binding.  Output bindings rate-limit at offer time against the runtime
-clock.
+clock, and CSV rows are stamped on it.
 """
 
 import csv
 import io
 import json
+import math
 import os
 import select
 import socket
@@ -32,7 +33,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -271,9 +271,12 @@ class BindingConfig:
                 f"binding for {self.parameter!r}: direction must be input or "
                 f"output, got {self.direction!r}")
         rate = self.properties.get("publish_rate")
-        if rate is not None and float(rate) <= 0.0:
+        if rate is not None and (isinstance(rate, bool)
+                                 or not isinstance(rate, (int, float))
+                                 or not 0.0 < rate < math.inf):
             raise TransportError(
-                f"binding for {self.parameter!r}: publish_rate must be > 0")
+                f"binding for {self.parameter!r}: publish_rate must be a "
+                f"number > 0, got {rate!r}")
 
     @property
     def publish_rate(self):
@@ -362,7 +365,8 @@ class IntraBindingFactory:
 
 
 class FileBindingFactory:
-    """CSV append sink, output only: ISO-8601 timestamp, topic, values."""
+    """CSV append sink, output only: timestamp, topic, values.  The
+    timestamp is ``clock()`` in seconds, read when the row is written."""
 
     transport_type = "file"
 
@@ -380,7 +384,7 @@ class FileBindingFactory:
 
     def write_row(self, topic, value):
         path = os.path.join(self.directory, topic.replace("/", "_") + ".csv")
-        row = [datetime.now(timezone.utc).isoformat(), topic]
+        row = [f"{self.clock():.6f}", topic]
         arr = np.atleast_1d(np.asarray(value, dtype=object)).ravel()
         row.extend(str(x) for x in arr)
         with self._lock:
@@ -547,10 +551,13 @@ class UdpBindingFactory:
             if peer is None:
                 raise TransportError(f"{where}: no port and no default peer")
         else:
-            peer = (config.properties.get("host", "127.0.0.1"), int(port))
-            if not 0 < peer[1] < 65536:
+            if isinstance(port, bool) or not isinstance(port, int):
+                raise TransportError(
+                    f"{where}: port must be an integer, got {port!r}")
+            if not 0 < port < 65536:
                 # getaddrinfo would wrap it into range
-                raise TransportError(f"{where}: port {peer[1]} out of range")
+                raise TransportError(f"{where}: port {port} out of range")
+            peer = (config.properties.get("host", "127.0.0.1"), port)
         try:
             return socket.getaddrinfo(peer[0], peer[1], socket.AF_INET,
                                       socket.SOCK_DGRAM)[0][4]

@@ -1,4 +1,5 @@
 import multiprocessing
+import threading
 import time
 
 import numpy as np
@@ -74,6 +75,25 @@ def no_child_process_left_running():
         child.join()
     if left:
         pytest.fail(f"child processes left running: {left}")
+
+
+WORKER_THREADS = ("publisher", "udp-transport", "plant")
+
+
+@pytest.fixture(autouse=True)
+def no_worker_thread_left_running():
+    """Fails a test that leaves a publisher, UDP transport or plant thread
+    it started running, once each has had a short join window to end."""
+    before = set(threading.enumerate())
+    yield
+    started = [thread for thread in threading.enumerate()
+               if thread not in before and thread.name in WORKER_THREADS]
+    deadline = time.monotonic() + 1.0
+    for thread in started:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    left = [thread for thread in started if thread.is_alive()]
+    if left:
+        pytest.fail(f"worker threads left running: {left}")
 
 
 @pytest.fixture(scope="session")

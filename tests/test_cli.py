@@ -26,6 +26,8 @@ def test_run_golden_config_writes_logs(tmp_path, clock_args):
     # 1 s at publish_rate 100 -> about 100 rows, within +10%
     assert 85 <= len(rows) <= 111
     assert all(len(r) == 2 + 3 for r in rows)   # timestamp, topic, 3 values
+    # both clocks are lockstep: rows are stamped in the run's simulated time
+    assert all(0.0 <= float(r[0]) <= 1.0 for r in rows)
 
 
 def test_run_bad_config_exits_2(tmp_path):
@@ -70,6 +72,18 @@ def test_run_bad_constraint_exits_2(tmp_path, capsys, old, new):
                "--log-dir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: constraint ")
+
+
+def test_run_config_number_that_is_not_a_number_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(fixtures.read_config("pend1_posture").replace(
+        "servo_frequency: 1000", "servo_frequency: fast"))
+    rc = main(["run", "--config", str(bad),
+               "--robot", str(fixtures.robot_path("pend1")),
+               "--duration", "0.01", "--single-threaded"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: controlit: servo_frequency must be a number")
 
 
 def test_run_invalid_robot_exits_2(tmp_path):

@@ -228,6 +228,28 @@ def test_bad_framework_values():
             load_config(MINIMAL + "\n" + controlit)
 
 
+BINDING = ("bindings:\n  - {parameter: posture.error, direction: output, "
+           "topic: t, transport_type: intra, properties: [{publish_rate: %s}]}")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("controlit: {servo_frequency: fast}", "servo_frequency"),
+    ("controlit: {servo_frequency: true}", "servo_frequency"),
+    ("controlit: {servo_frequency: .nan}", "servo_frequency"),
+    ("controlit: {world_gravity: [0.0, 0.0, down]}", "world_gravity"),
+    ("controlit: {world_gravity: [0.0, false, -9.81]}", "world_gravity"),
+    ("controlit: {max_effort_command: true}", "max_effort_command"),
+    ("controlit: {max_effort_command: high}", "max_effort_command"),
+    ("controlit: {max_effort_command: [40.0, x]}", "max_effort_command"),
+    (BINDING % "[1, 2]", "publish_rate"),
+    (BINDING % "true", "publish_rate"),
+    (BINDING % "often", "publish_rate"),
+])
+def test_config_numbers_that_are_not_numbers_name_their_key(text, key):
+    with pytest.raises(ConfigError, match=key):
+        load_config(MINIMAL + "\n" + text)
+
+
 def test_unequal_threading_keys_rejected():
     for keys in ("{single_threaded_model: true, single_threaded_tasks: false}",
                  "{single_threaded_model: false, single_threaded_tasks: true}",

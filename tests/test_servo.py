@@ -24,8 +24,8 @@ from wbosc.constraints import Constraint
 from wbosc.controller import WboscImpedance, enforce_limits
 from wbosc.model import RobotState
 from wbosc.params import Event
-from wbosc.servo import (LockstepClock, MonotonicClock, ReplyReader,
-                         ServoError, ServoHooks, make_clock)
+from wbosc.servo import (TIMINGS, LockstepClock, MonotonicClock,
+                         ReplyReader, ServoError, ServoHooks, make_clock)
 from wbosc.transports import KIND_PUBLISH, decode_message, encode_message
 
 
@@ -468,6 +468,73 @@ def test_phase_stats_recorded():
         assert 0.0 <= median <= p99
 
 
+def cycle_latency(runtime, result):
+    """The whole-cycle wall time recorded for ``result``'s cycle."""
+    timings = runtime._timings
+    return timings[result.cycle % len(timings), TIMINGS.index("total")]
+
+
+def test_a_cycle_result_never_changes():
+    ctl = build_pend(single_threaded=True)
+    with ctl:
+        ctl.start()
+        ctl.run(cycles=5)
+        result = ctl.runtime.servo_update()
+        ctl.clock.tick()
+        kept = (result.cycle, result.time, result.state.position.copy(),
+                result.command.effort.copy(), result.model_latency,
+                result.suppressed, result.model_swapped, result.goals_updated)
+        ctl.registry.stage_input("posture.goalPosition", [0.4])
+        ctl.run(cycles=20)
+        last = ctl.runtime.last_result
+    assert last is not result and last.cycle == result.cycle + 20
+    assert not np.array_equal(last.command.effort, kept[3])
+    now = (result.cycle, result.time, result.state.position,
+           result.command.effort, result.model_latency, result.suppressed,
+           result.model_swapped, result.goals_updated)
+    for want, got in zip(kept, now):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_snapshot_read_on_another_thread_is_one_cycle():
+    """Every snapshot taken while the servo runs holds the state, command
+    and cycle number of one cycle's record."""
+    ctl = build_pend(single_threaded=True)
+    runtime = ctl.runtime
+    results = []
+    snapshots = []
+    done = threading.Event()
+
+    def read():
+        while not done.is_set():
+            snapshot = runtime.snapshot()
+            if snapshot:
+                snapshots.append(snapshot)
+
+    interval = sys.getswitchinterval()
+    with ctl:
+        ctl.start()
+        assert runtime.snapshot() == {}
+        reader = threading.Thread(target=read)
+        sys.setswitchinterval(1e-5)
+        try:
+            reader.start()
+            for _ in range(2000):
+                results.append(runtime.servo_update())
+                ctl.clock.tick()
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            reader.join(timeout=5.0)
+    assert not reader.is_alive()
+    assert len({snapshot["cycle"] for snapshot in snapshots}) > 10
+    for snapshot in snapshots:
+        result = results[snapshot["cycle"]]
+        assert snapshot["state"] is result.state
+        assert snapshot["command"] is result.command
+        assert snapshot["model_latency"] == result.model_latency
+
+
 # -- reuse of the effort, the GIL, and goals between model swaps ---------------------
 
 def record_yields(monkeypatch):
@@ -734,13 +801,12 @@ def test_quiet_cycle_hands_the_gil_over_only_at_its_poll(monkeypatch,
             cycles = 50
             for k in range(1, cycles + 1):
                 before = len(io.calls)
-                previous = runtime._prev_cycle_start
+                previous = runtime.last_result.time
                 result = runtime.servo_update()
                 calls = io.calls[before:]
-                idx = result.cycle % runtime._history_len
                 now = ctl.clock.now()
                 for topic, value in zip(runtime._diagnostics_topics, (
-                        1.0 / (now - previous), runtime._cycle_latency[idx],
+                        1.0 / (now - previous), cycle_latency(runtime, result),
                         now - runtime.last_model_swap_time,
                         runtime.active.model.G, iface.state.position,
                         iface.last_effort)):
@@ -947,12 +1013,11 @@ def test_a_subscription_made_mid_run_gets_the_next_cycles_diagnostics(
                 for topic, values in received.items()])
             subscriber.start()
             subscriber.join()
-            previous = runtime._prev_cycle_start
+            previous = runtime.last_result.time
             result = runtime.servo_update()
             now = ctl.clock.now()
             expected = (1.0 / (now - previous),
-                        runtime._cycle_latency[
-                            result.cycle % runtime._history_len],
+                        cycle_latency(runtime, result),
                         now - runtime.last_model_swap_time,
                         runtime.active.model.G, iface.state.position,
                         iface.last_effort)

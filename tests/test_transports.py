@@ -237,7 +237,8 @@ def test_file_transport_is_output_only(tmp_path):
 def test_file_transport_writes_csv_rows(tmp_path):
     reg = make_registry()
     manager = BindingManager()
-    factory = FileBindingFactory(str(tmp_path), publisher=None)
+    factory = FileBindingFactory(str(tmp_path), publisher=None,
+                                 clock=lambda: 2.5)
     manager.register_factory(factory)
     manager.bind(reg, BindingConfig("task.error", "output", "file",
                                     "errors/right"))
@@ -249,9 +250,8 @@ def test_file_transport_writes_csv_rows(tmp_path):
     assert len(rows) == 2
     assert rows[0][1] == "errors/right"
     assert [float(x) for x in rows[0][2:]] == [0.5, 0.25, 0.0]
-    # ISO-8601 timestamp parses
-    from datetime import datetime
-    datetime.fromisoformat(rows[0][0])
+    # stamped on the factory's clock, in seconds
+    assert float(rows[0][0]) == 2.5
 
 
 def test_rate_limited_publishing():
@@ -342,6 +342,8 @@ def test_udp_echo_roundtrip_preserves_bits():
     ({}, "no port and no default peer"),
     ({"port": 70000}, "port 70000 out of range"),
     ({"host": "unresolvable", "port": 9}, "cannot resolve"),
+    ({"port": "9x"}, "port must be an integer, got '9x'"),
+    ({"port": True}, "port must be an integer, got True"),
 ])
 def test_udp_output_binding_without_a_usable_peer_fails_when_bound(
         monkeypatch, properties, match):
